@@ -209,17 +209,15 @@ let run_cmd =
     if profile then begin
       let config = Pmdp_core.Cost_model.config_of_machine machine in
       Pmdp_report.Profile.set_predicted collector
-        (List.filteri
-           (fun _ (_, c) -> Float.is_finite c)
+        (List.concat
            (List.mapi
               (fun i (g : Pmdp_core.Schedule_spec.group) ->
                 match
-                  Pmdp_core.Cost_model.group_features config pipeline
-                    ~stages:g.Pmdp_core.Schedule_spec.stages
-                    ~tile:g.Pmdp_core.Schedule_spec.tile_sizes
+                  Pmdp_core.Cost_model.predicted_cost config pipeline
+                    [ (g.Pmdp_core.Schedule_spec.stages, g.Pmdp_core.Schedule_spec.tile_sizes) ]
                 with
-                | Some f -> (i, Pmdp_core.Cost_model.predict config f)
-                | None -> (i, Float.nan))
+                | Some c when Float.is_finite c -> [ (i, c) ]
+                | Some _ | None -> [])
               sched.Pmdp_core.Schedule_spec.groups))
     end;
     let fault = Option.map (fun specs -> Pmdp_runtime.Fault.create ~seed specs) inject in
@@ -482,17 +480,21 @@ let dot_cmd =
 
 let check_cmd =
   let doc =
-    "Statically verify schedules (legality, bounds, races, lint) and lowered plan IRs \
-     (whole-plan analyzer) without running them.  Exit codes: 0 when clean, 1 on \
-     error-severity diagnostics, 2 on a usage error."
+    "Statically verify schedules without running them: lower each to its plan IR and run \
+     the pipeline lint and the whole-plan analyzer (legality, bounds, coverage, scratch, \
+     dependences, lints).  Exit codes: 0 when clean, 1 on error-severity diagnostics, 2 on a \
+     usage error."
   in
   let module D = Pmdp_verify.Diagnostic in
   let module Json = Pmdp_report.Json in
-  let run app scale machine schedulers json plan plan_out plan_file =
+  let run app scale machine schedulers json plan_out plan_file =
     let usage msg =
       prerr_endline ("pmdp check: " ^ msg);
       exit 2
     in
+    (* This command runs the analyzer itself and reports every
+       diagnostic, so lowering must not stop at the first error. *)
+    Pmdp_verify.Verify.uninstall ();
     (* One result row per checked case: (app, source, plan digest, diagnostics). *)
     let results = ref [] in
     let add r = results := r :: !results in
@@ -532,25 +534,23 @@ let check_cmd =
                    use the incremental variant there, as the tests do. *)
                 let scheduler = Scheduler.for_pipeline scheduler pipeline in
                 let sched = make_schedule scheduler machine pipeline in
-                let ds = Pmdp_verify.Verify.check_schedule sched in
+                let lint = Pmdp_verify.Verify.check_pipeline pipeline in
                 let ds, digest =
-                  if plan || plan_out <> None then
-                    match Pmdp_plan.of_spec_result sched with
-                    | Error e ->
-                        ( ds
-                          @ [
-                              D.make D.Plan D.Error ~kind:(Pmdp_util.Pmdp_error.kind e)
-                                (Pmdp_util.Pmdp_error.message e);
-                            ],
-                          None )
-                    | Ok ir ->
-                        Option.iter
-                          (fun path ->
-                            Pmdp_plan.write path ir;
-                            if not json then Printf.printf "wrote %s\n%!" path)
-                          plan_out;
-                        (ds @ Pmdp_verify.Verify.check_plan pipeline ir, Some (Pmdp_plan.digest ir))
-                  else (ds, None)
+                  match Pmdp_plan.of_spec_result sched with
+                  | Error e ->
+                      ( lint
+                        @ [
+                            D.make D.Plan D.Error ~kind:(Pmdp_util.Pmdp_error.kind e)
+                              (Pmdp_util.Pmdp_error.message e);
+                          ],
+                        None )
+                  | Ok ir ->
+                      Option.iter
+                        (fun path ->
+                          Pmdp_plan.write path ir;
+                          if not json then Printf.printf "wrote %s\n%!" path)
+                        plan_out;
+                      (lint @ Pmdp_verify.Verify.check_plan pipeline ir, Some (Pmdp_plan.digest ir))
                 in
                 add (app.Registry.name, Scheduler.to_string scheduler, digest, ds))
               schedulers)
@@ -606,17 +606,11 @@ let check_cmd =
              ~doc:"Machine-readable output: one JSON object with per-case status and \
                    diagnostics (each carrying its failure_kind) on stdout.")
   in
-  let plan_t =
-    Arg.(value & flag
-         & info [ "plan" ]
-             ~doc:"Also lower each schedule to the serializable plan IR and run the whole-plan \
-                   static analyzer (coverage, scratch consistency, dependences, budget audit).")
-  in
   let plan_out_t =
     Arg.(value & opt (some string) None
          & info [ "plan-out" ] ~docv:"FILE"
              ~doc:"Write the lowered plan IR (with its content digest) to $(docv); requires \
-                   exactly one APP and one --scheduler.  Implies --plan.")
+                   exactly one APP and one --scheduler.")
   in
   let plan_file_t =
     Arg.(value & opt (some string) None
@@ -625,7 +619,7 @@ let check_cmd =
                    digest check plus the whole-plan analyzer.")
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ app_opt_t $ scale_t $ machine_t $ scheds_t $ json_t $ plan_t $ plan_out_t
+    Term.(const run $ app_opt_t $ scale_t $ machine_t $ scheds_t $ json_t $ plan_out_t
           $ plan_file_t)
 
 let storage_cmd =

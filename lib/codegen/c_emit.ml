@@ -3,7 +3,6 @@ module Stage = Pmdp_dsl.Stage
 module Expr = Pmdp_dsl.Expr
 module Rational = Pmdp_util.Rational
 module Group_analysis = Pmdp_analysis.Group_analysis
-module Footprint = Pmdp_analysis.Footprint
 module Schedule_spec = Pmdp_core.Schedule_spec
 
 let spf = Printf.sprintf
@@ -160,7 +159,7 @@ let scratch_alloc_extents (ga : Group_analysis.t) ~member:m ~tile =
       min stage.Stage.dims.(k).Stage.extent (((tile.(g) + elo + ehi) / s) + 2))
 
 let emit (spec : Schedule_spec.t) =
-  Schedule_spec.validate spec;
+  let ir = Pmdp_plan.of_spec spec in
   let p = spec.Schedule_spec.pipeline in
   let b = Buffer.create (64 * 1024) in
   let out fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
@@ -173,13 +172,8 @@ let emit (spec : Schedule_spec.t) =
   out "";
   let groups =
     List.map
-      (fun (g : Schedule_spec.group) ->
-        match Group_analysis.analyze p g.Schedule_spec.stages with
-        | Ok ga -> (ga, Footprint.clamp_tile ga g.Schedule_spec.tile_sizes)
-        | Error f ->
-            invalid_arg
-              (Format.asprintf "C_emit.emit: group failed analysis: %a" Group_analysis.pp_failure f))
-      spec.Schedule_spec.groups
+      (fun (g : Pmdp_plan.group) -> (Pmdp_plan.group_analysis p g, g.Pmdp_plan.tile))
+      (Array.to_list ir.Pmdp_plan.groups)
   in
   (* Full buffers for all live-outs. *)
   List.iter

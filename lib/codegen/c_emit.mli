@@ -18,8 +18,13 @@ val scratch_alloc_extents :
     region fits the allocation. *)
 
 val emit : Pmdp_core.Schedule_spec.t -> string
-(** Full translation unit for the schedule's pipeline.
-    @raise Invalid_argument if a group fails analysis. *)
+(** Full translation unit for the schedule's pipeline, emitted from
+    its {!Pmdp_plan.of_spec} lowering (so a registered analyzer vets
+    it first).
+    @raise Invalid_argument if [Schedule_spec.validate] refuses the
+    schedule.
+    @raise Pmdp_util.Pmdp_error.Error if lowering or the analyzer
+    does. *)
 
 val emit_to_file : Pmdp_core.Schedule_spec.t -> string -> unit
 (** Write [emit] output to the given path. *)

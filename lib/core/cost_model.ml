@@ -158,6 +158,17 @@ let group_features config pipeline ~stages ~tile =
   | Error _ -> None
   | Ok ga -> Some (features_for_tile config ga ~tile)
 
+let predicted_cost config pipeline groups =
+  List.fold_left
+    (fun acc (stages, tile) ->
+      match acc with
+      | None -> None
+      | Some total ->
+          Option.map
+            (fun f -> total +. predict config f)
+            (group_features config pipeline ~stages ~tile))
+    (Some 0.0) groups
+
 (* COSTFORCACHESIZE (Alg. 2, lines 12-28). *)
 let cost_for_cache_size config (ga : Group_analysis.t) ~cache_bytes =
   let machine = config.machine in

@@ -97,6 +97,14 @@ val group_features :
 (** [features_for_tile] for a stage list, [None] when the group does
     not analyze (unfusable). *)
 
+val predicted_cost :
+  config -> Pmdp_dsl.Pipeline.t -> (int list * int array) list -> float option
+(** Sum of {!predict} over [(stages, tile)] groups, in list order;
+    [None] when any group does not analyze.  The one place a
+    schedule's predicted cost is summed: the tile search scores
+    candidates with it and [pmdp run --profile] prints it per
+    group. *)
+
 val analytic_of_features : Pmdp_machine.Machine.t -> features -> float
 (** The Table-1 weighting of {!features} (dimensionless cost). *)
 

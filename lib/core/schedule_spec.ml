@@ -6,10 +6,31 @@ module Footprint = Pmdp_analysis.Footprint
 type group = { stages : int list; tile_sizes : int array }
 type t = { pipeline : Pipeline.t; groups : group list }
 
-let check_partition p groups =
-  let all = List.sort compare (List.concat groups) in
-  if all <> List.init (Pipeline.n_stages p) Fun.id then
-    invalid_arg "Schedule_spec: grouping is not a partition of the pipeline stages"
+let refuse kind fmt =
+  Printf.ksprintf (fun reason -> invalid_arg (Printf.sprintf "Schedule_spec: %s: %s" kind reason)) fmt
+
+let stage_name p s = (Pipeline.stage p s).Pmdp_dsl.Stage.name
+
+(* The group index of every stage, refusing — with the static
+   analyzer's kind slugs — a grouping that is not a partition of the
+   pipeline's stages. *)
+let owners p groups =
+  let n = Pipeline.n_stages p in
+  let owner = Array.make n (-1) in
+  List.iteri
+    (fun gi stages ->
+      List.iter
+        (fun s ->
+          if s < 0 || s >= n then refuse "partition" "stage id %d out of range [0, %d)" s n;
+          if owner.(s) >= 0 then
+            refuse "multi-writer" "stage %s is in groups %d and %d" (stage_name p s) owner.(s) gi;
+          owner.(s) <- gi)
+        stages)
+    groups;
+  Array.iteri
+    (fun s o -> if o < 0 then refuse "partition" "stage %s is in no group" (stage_name p s))
+    owner;
+  owner
 
 (* Order groups topologically (producers before consumers). *)
 let topo_groups p (groups : group list) =
@@ -36,7 +57,7 @@ let rec assign config p stages =
       | _ -> List.concat_map (fun s -> assign config p [ s ]) stages)
 
 let of_grouping config p grouping =
-  check_partition p grouping;
+  ignore (owners p grouping);
   let groups = List.concat_map (fun g -> assign config p g) grouping in
   { pipeline = p; groups = topo_groups p groups }
 
@@ -59,7 +80,7 @@ let rec with_tiles_group p (stages, tiles) =
       | _ -> List.concat_map (fun s -> with_tiles_group p ([ s ], tiles)) stages)
 
 let with_tiles p specs =
-  check_partition p (List.map fst specs);
+  ignore (owners p (List.map fst specs));
   let groups = List.concat_map (with_tiles_group p) specs in
   { pipeline = p; groups = topo_groups p groups }
 
@@ -69,46 +90,28 @@ let dp config p =
 
 let n_groups t = List.length t.groups
 
-(* Optional deeper legality check (dependence/overlap/race analysis),
-   registered by Pmdp_verify.install.  Kept as a hook so this module
-   does not depend on the checker (which depends on the executors,
-   which depend on this module). *)
-let legality_oracle : (t -> string option) option ref = ref None
-let set_legality_oracle o = legality_oracle := o
-
+(* What a schedule must satisfy before lowering can even analyze it,
+   refused with the static analyzer's kind slugs. *)
 let validate t =
-  check_partition t.pipeline (List.map (fun g -> g.stages) t.groups);
-  List.iter
-    (fun g ->
+  let p = t.pipeline in
+  let owner = owners p (List.map (fun g -> g.stages) t.groups) in
+  List.iteri
+    (fun gi g ->
       if g.stages <> [] && Array.length g.tile_sizes = 0 then
-        invalid_arg "Schedule_spec.validate: empty tile-size array for nonempty group";
+        refuse "tile-arity" "empty tile-size array for nonempty group %d" gi;
       Array.iter
-        (fun ts ->
-          if ts <= 0 then
-            invalid_arg
-              (Printf.sprintf "Schedule_spec.validate: non-positive tile size %d" ts))
-        g.tile_sizes)
-    t.groups;
-  (* Groups must appear in topological order. *)
-  let seen = Array.make (Pipeline.n_stages t.pipeline) false in
-  List.iter
-    (fun g ->
+        (fun ts -> if ts <= 0 then refuse "tile-nonpositive" "tile size %d in group %d" ts gi)
+        g.tile_sizes;
       List.iter
         (fun s ->
           List.iter
             (fun prod ->
-              if (not seen.(prod)) && not (List.mem prod g.stages) then
-                invalid_arg "Schedule_spec.validate: group order violates dependences")
-            (Pipeline.producers t.pipeline s))
-        g.stages;
-      List.iter (fun s -> seen.(s) <- true) g.stages)
-    t.groups;
-  match !legality_oracle with
-  | None -> ()
-  | Some oracle -> (
-      match oracle t with
-      | None -> ()
-      | Some msg -> invalid_arg ("Schedule_spec.validate: " ^ msg))
+              if owner.(prod) > gi then
+                refuse "group-order" "%s in group %d consumes %s, scheduled in later group %d"
+                  (stage_name p s) gi (stage_name p prod) owner.(prod))
+            (Pipeline.producers p s))
+        g.stages)
+    t.groups
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>schedule for %s (%d groups)@," t.pipeline.Pipeline.name

@@ -16,8 +16,8 @@ val of_grouping : Cost_model.config -> Pmdp_dsl.Pipeline.t -> int list list -> t
     singletons (with their own tile sizes), so the result is always
     executable.  Groups are emitted in a valid inter-group
     topological order.
-    @raise Invalid_argument if the grouping is not a partition of the
-    pipeline's stages. *)
+    @raise Invalid_argument (as {!validate}) if the grouping is not a
+    partition of the pipeline's stages. *)
 
 val with_tiles : Pmdp_dsl.Pipeline.t -> (int list * int array) list -> t
 (** Build a schedule from explicit groups and tile sizes (used by
@@ -33,17 +33,15 @@ val dp : Cost_model.config -> Pmdp_dsl.Pipeline.t -> t * Dp_grouping.outcome
 
 val n_groups : t -> int
 
-val set_legality_oracle : (t -> string option) option -> unit
-(** Register (or clear, with [None]) a deeper legality check run at
-    the end of {!validate}.  The oracle returns [Some message] to
-    reject the schedule.  {!Pmdp_verify.Verify.install} registers its
-    legality + race passes here, after which the executors — which
-    validate on entry — refuse illegal or racy schedules. *)
-
 val validate : t -> unit
-(** Re-checks partition/topological validity and that every tile size
-    is positive (nonempty groups must carry a nonempty tile array);
-    then consults the registered legality oracle, if any.
+(** Refuses, with the static analyzer's kind slug in the message, a
+    grouping that is not a partition ([partition], or [multi-writer]
+    for a stage in two groups), groups out of dependence order
+    ([group-order]), an empty tile array for a nonempty group
+    ([tile-arity]), and a non-positive tile size
+    ([tile-nonpositive]).  Defects that need the group analysis
+    (a tile beyond its group's scaled extent, an unanalyzable group)
+    are refused by lowering, {!Pmdp_plan.of_spec}.
     @raise Invalid_argument. *)
 
 val pp : Format.formatter -> t -> unit

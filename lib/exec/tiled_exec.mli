@@ -41,9 +41,11 @@ val plan : Pmdp_core.Schedule_spec.t -> plan
     group, fit tile sizes) followed by {!instantiate} (compile member
     bodies, resolve load slots).
     @raise Pmdp_util.Pmdp_error.Error ([Plan_invalid] for failed
-    validation or group analysis, [Arity_mismatch] for a wrong-length
-    tile-size vector).  Schedules from the in-tree schedulers never
-    fail. *)
+    group analysis or a rejection by the analyzer
+    {!Pmdp_verify.Verify.install} registers, [Arity_mismatch] for a
+    wrong-length tile-size vector).
+    @raise Invalid_argument when [Schedule_spec.validate] refuses the
+    schedule.  Schedules from the in-tree schedulers never fail. *)
 
 val plan_result : Pmdp_core.Schedule_spec.t -> (plan, Pmdp_util.Pmdp_error.t) result
 (** {!plan} as a [result]: every raising boundary — including

@@ -84,7 +84,23 @@ let lower_group p (g : Schedule_spec.group) =
            expected = ga.Group_analysis.n_dims;
            got = Array.length g.Schedule_spec.tile_sizes;
          });
-  let tile = Footprint.clamp_tile ga g.Schedule_spec.tile_sizes in
+  (* Refused rather than clamped: the plan would no longer say what
+     the schedule asked for, and the static analyzer only sees plans. *)
+  Array.iteri
+    (fun d ts ->
+      let extent = Group_analysis.dim_extent ga d in
+      if ts > extent then
+        Pmdp_error.raise_
+          (Pmdp_error.Plan_invalid
+             {
+               context = "Pmdp_plan.of_spec";
+               reason =
+                 Printf.sprintf
+                   "tile-exceeds-extent: tile size %d exceeds scaled extent %d along dim %d" ts
+                   extent d;
+             }))
+    g.Schedule_spec.tile_sizes;
+  let tile = Array.copy g.Schedule_spec.tile_sizes in
   let tiles_per_dim =
     Array.init ga.Group_analysis.n_dims (fun d ->
         let extent = Group_analysis.dim_extent ga d in
@@ -160,7 +176,14 @@ let arena_bytes g =
     (fun acc m -> if m.direct then acc else acc + (m.max_scratch * 8))
     0 g.members
 
-let of_spec (spec : Schedule_spec.t) =
+(* The post-lowering analyzer, registered by Pmdp_verify.Verify.install.
+   A hook rather than a call so this module does not depend on the
+   checker (which depends on the executors, which depend on this
+   module). *)
+let analyzer : (Pipeline.t -> t -> (unit, Pmdp_error.t) result) option ref = ref None
+let set_analyzer a = analyzer := a
+
+let lower (spec : Schedule_spec.t) =
   Schedule_spec.validate spec;
   let p = spec.Schedule_spec.pipeline in
   let groups = Array.of_list (List.map (lower_group p) spec.Schedule_spec.groups) in
@@ -196,6 +219,16 @@ let of_spec (spec : Schedule_spec.t) =
     scratch_bytes_per_worker;
   }
 
+let of_spec (spec : Schedule_spec.t) =
+  let ir = lower spec in
+  Option.iter
+    (fun analyze ->
+      match analyze spec.Schedule_spec.pipeline ir with
+      | Ok () -> ()
+      | Error e -> Pmdp_error.raise_ e)
+    !analyzer;
+  ir
+
 let of_spec_result spec =
   match of_spec spec with
   | ir -> Ok ir
@@ -225,6 +258,9 @@ let group_analysis p (g : group) : Group_analysis.t =
       rows
   in
   check_rows "scales" g.scales;
+  Array.iter
+    (Array.iter (fun s -> if s < 1 then plan_invalid "non-positive integer scale %d" s))
+    g.scales;
   check_rows "scaled_lo" g.scaled_lo;
   check_rows "scaled_hi" g.scaled_hi;
   check_rows "expansions" (Array.map (Array.map fst) g.expansions);

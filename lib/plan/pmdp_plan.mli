@@ -79,15 +79,29 @@ val member_scratch_extents :
 
 val of_spec : Pmdp_core.Schedule_spec.t -> t
 (** Lower a schedule to the IR: validate, analyze every group, clamp
-    tile sizes, and derive all per-member quantities.
+    tile sizes, and derive all per-member quantities; then run the
+    analyzer registered with {!set_analyzer}, if any, over the
+    result.
     @raise Pmdp_util.Pmdp_error.Error ([Plan_invalid] for failed
-    validation or group analysis, [Arity_mismatch] for a wrong-length
-    tile-size vector). *)
+    group analysis or an analyzer rejection, [Arity_mismatch] for a
+    wrong-length tile-size vector).
+    @raise Invalid_argument when [Schedule_spec.validate] refuses the
+    schedule. *)
 
 val of_spec_result : Pmdp_core.Schedule_spec.t -> (t, Pmdp_util.Pmdp_error.t) result
 (** {!of_spec} with every raising boundary — including
     [Schedule_spec.validate]'s [Invalid_argument] — converted to a
     typed error. *)
+
+val set_analyzer :
+  (Pmdp_dsl.Pipeline.t -> t -> (unit, Pmdp_util.Pmdp_error.t) result) option -> unit
+(** Register (or clear, with [None]) the post-lowering analyzer
+    {!of_spec} runs on every plan it produces.
+    {!Pmdp_verify.Verify.install} registers the whole-plan analyzer's
+    error verdict here, after which every lowering — and so
+    {!Pmdp_exec.Tiled_exec.plan}, {!Pmdp_codegen.C_emit.emit} and the
+    service's plan cache — refuses a plan with an error-severity
+    diagnostic. *)
 
 val retile : Pmdp_dsl.Pipeline.t -> t -> int array array -> t
 (** Same grouping, new tile sizes (one array per group, clamped to the

@@ -61,7 +61,7 @@ let add_retry_stats a b =
     gave_up = a.gave_up + b.gave_up;
   }
 
-type conn = { fd : Unix.file_descr; mutable proto : int }
+type conn = { fd : Unix.file_descr }
 
 type t = {
   endpoint : Transport.endpoint;
@@ -98,25 +98,10 @@ let connect_error endpoint e =
           (Unix.error_message e);
     }
 
-(* Offer our highest version; an older server pins the connection and
-   echoes the negotiated version, a v1 server answers the hello with
-   an unknown-operation error — which is itself the answer: v1. *)
-let handshake c =
-  match
-    Protocol.write_frame c.fd (Protocol.json_of_hello Protocol.proto_version);
-    Protocol.read_frame c.fd
-  with
-  | Some reply when Option.bind (Json.member "ok" reply) Json.to_bool_opt = Some true ->
-      c.proto <-
-        Option.value ~default:1 (Option.bind (Json.member "proto" reply) Json.to_int_opt)
-  | Some _ | None -> c.proto <- 1
-  | exception (Protocol.Closed | Failure _ | Unix.Unix_error _) -> c.proto <- 1
-
 let dial t =
   match Transport.connect t.endpoint with
   | fd ->
-      let c = { fd; proto = 1 } in
-      handshake c;
+      let c = { fd } in
       t.conn <- Some c;
       Ok c
   | exception Unix.Unix_error (e, _, _) -> Error (connect_error t.endpoint e)
@@ -152,7 +137,6 @@ let connect ?(retry = Retry_policy.none) ~endpoint () =
   in
   match go 1 with Ok t -> Ok t | Error e -> Error e
 
-let proto t = match t.conn with Some c -> c.proto | None -> 0
 let retry_stats t = { attempts = t.attempts; retried = t.retried; gave_up = t.gave_up }
 
 let close t =

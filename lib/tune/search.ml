@@ -84,9 +84,9 @@ let run ~seed ~budget ~init ~evaluate =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Schedule-spec adapter: tiles <-> Schedule_spec groups, with the
-   spec validator as the legality gate before the caller's evaluator
-   sees a candidate. *)
+(* Schedule-spec adapter: tiles <-> Schedule_spec groups, with
+   lowering (and the analyzer registered with it) as the legality gate
+   before the caller's evaluator sees a candidate. *)
 
 let tiles_of_spec (spec : Schedule_spec.t) =
   Array.of_list
@@ -107,9 +107,9 @@ let tune_spec ~seed ~budget ~evaluate (spec : Schedule_spec.t) =
   let init = tiles_of_spec spec in
   let eval tiles =
     let cand = spec_with_tiles spec tiles in
-    match Schedule_spec.validate cand with
-    | () -> evaluate cand
-    | exception Invalid_argument _ -> None
+    match Pmdp_plan.of_spec_result cand with
+    | Ok _ -> evaluate cand
+    | Error _ -> None
   in
   let r = run ~seed ~budget ~init ~evaluate:eval in
   (spec_with_tiles spec r.tiles, r)
@@ -119,19 +119,10 @@ let tune_spec ~seed ~budget ~evaluate (spec : Schedule_spec.t) =
    service's background retuner and reproducible tests.  [None] when
    any group fails to analyze. *)
 let model_evaluate config (spec : Schedule_spec.t) =
-  let p = spec.Schedule_spec.pipeline in
-  List.fold_left
-    (fun acc (g : Schedule_spec.group) ->
-      match acc with
-      | None -> None
-      | Some total -> (
-          match
-            Cost_model.group_features config p ~stages:g.Schedule_spec.stages
-              ~tile:g.Schedule_spec.tile_sizes
-          with
-          | None -> None
-          | Some f -> Some (total +. Cost_model.predict config f)))
-    (Some 0.0) spec.Schedule_spec.groups
+  Cost_model.predicted_cost config spec.Schedule_spec.pipeline
+    (List.map
+       (fun (g : Schedule_spec.group) -> (g.Schedule_spec.stages, g.Schedule_spec.tile_sizes))
+       spec.Schedule_spec.groups)
 
 (* IR adapter for the online retuner: score candidate tile matrices
    for an already-lowered plan without re-lowering (features come
@@ -146,16 +137,7 @@ let tune_ir ~seed ~budget ~config ~pipeline (ir : Pmdp_plan.t) =
     Array.map (fun (g : Pmdp_plan.group) -> Array.copy g.Pmdp_plan.tile) ir.Pmdp_plan.groups
   in
   let eval tiles =
-    List.fold_left
-      (fun acc (stages, tile) ->
-        match acc with
-        | None -> None
-        | Some total -> (
-            match Cost_model.group_features config pipeline ~stages ~tile with
-            | None -> None
-            | Some f -> Some (total +. Cost_model.predict config f)))
-      (Some 0.0)
-      (List.combine groups (Array.to_list tiles))
+    Cost_model.predicted_cost config pipeline (List.combine groups (Array.to_list tiles))
   in
   let r = run ~seed ~budget ~init ~evaluate:eval in
   (r.tiles, r)

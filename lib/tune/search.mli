@@ -40,8 +40,9 @@ val tune_spec :
   evaluate:(Pmdp_core.Schedule_spec.t -> float option) ->
   Pmdp_core.Schedule_spec.t ->
   Pmdp_core.Schedule_spec.t * result
-(** Search from a schedule's own tiles; every candidate passes
-    [Schedule_spec.validate] before the evaluator sees it. *)
+(** Search from a schedule's own tiles; every candidate must lower
+    ({!Pmdp_plan.of_spec}, so the registered analyzer too) before the
+    evaluator sees it. *)
 
 val model_evaluate : Pmdp_core.Cost_model.config -> Pmdp_core.Schedule_spec.t -> float option
 (** Sum of predicted per-group costs under [config] — deterministic

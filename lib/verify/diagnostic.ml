@@ -1,4 +1,4 @@
-type pass = Legality | Bounds | Race | Lint | Plan
+type pass = Lint | Plan
 type severity = Error | Warning
 
 type t = {
@@ -14,12 +14,7 @@ type t = {
 let make pass severity ~kind ?group ?stage ?dim detail =
   { pass; severity; kind; group; stage; dim; detail }
 
-let pass_name = function
-  | Legality -> "legality"
-  | Bounds -> "bounds"
-  | Race -> "race"
-  | Lint -> "lint"
-  | Plan -> "plan"
+let pass_name = function Lint -> "lint" | Plan -> "plan"
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 let errors ds = List.filter (fun d -> d.severity = Error) ds

@@ -7,7 +7,9 @@
 
     {v <severity> <pass>/<kind> [group=N] [stage=S] [dim=D]: <detail> v} *)
 
-type pass = Legality | Bounds | Race | Lint | Plan
+type pass =
+  | Lint  (** {!Lint.check_pipeline}: the pipeline program alone *)
+  | Plan  (** {!Plan_check}: a lowered plan against its pipeline *)
 type severity = Error | Warning
 
 type t = {

@@ -2,7 +2,6 @@ module Pipeline = Pmdp_dsl.Pipeline
 module Stage = Pmdp_dsl.Stage
 module Expr = Pmdp_dsl.Expr
 module Dag = Pmdp_dag.Dag
-module Schedule_spec = Pmdp_core.Schedule_spec
 module D = Diagnostic
 
 let err = D.make D.Lint D.Error
@@ -109,61 +108,3 @@ let check_pipeline (p : Pipeline.t) =
       (Pipeline.input_loads p sid)
   done;
   List.rev !diags
-
-let check_schedule (spec : Schedule_spec.t) =
-  let p = spec.Schedule_spec.pipeline in
-  let diags = ref [] in
-  List.iteri
-    (fun gi (g : Schedule_spec.group) ->
-      let members =
-        List.filter (fun sid -> sid >= 0 && sid < Pipeline.n_stages p) g.Schedule_spec.stages
-      in
-      (* Tile-size smells: legal, but spatial locality is gone.  Needs
-         the group's scaled iteration space, so skip groups the
-         analysis rejects (legality reports those as errors). *)
-      (match Pmdp_analysis.Group_analysis.analyze p members with
-      | Error _ -> ()
-      | Ok ga ->
-          let gdims = ga.Pmdp_analysis.Group_analysis.n_dims in
-          let tiles = g.Schedule_spec.tile_sizes in
-          if Array.length tiles = gdims then
-            Array.iteri
-              (fun d t ->
-                let extent = Pmdp_analysis.Group_analysis.dim_extent ga d in
-                if d = gdims - 1 && t = 1 && extent > 1 then
-                  diags :=
-                    warn ~kind:"one-wide-innermost" ~group:gi ~dim:d
-                      (Printf.sprintf
-                         "tile is 1 wide along the innermost dimension (extent %d): no spatial \
-                          locality or vectorization"
-                         extent)
-                    :: !diags;
-                if t > extent then
-                  diags :=
-                    warn ~kind:"tile-oversized" ~group:gi ~dim:d
-                      (Printf.sprintf
-                         "tile size %d exceeds the iteration extent %d; lowering clamps it" t
-                         extent)
-                    :: !diags)
-              tiles);
-      List.iter
-        (fun sid ->
-          List.iter
-            (fun prod ->
-              if List.mem prod members then
-                List.iter
-                  (fun (coords : Expr.coord array) ->
-                    if Array.exists (function Expr.Cdyn _ -> true | Expr.Cvar _ -> false) coords
-                    then
-                      diags :=
-                        err ~kind:"non-affine-in-group" ~group:gi
-                          ~stage:(Pipeline.stage p sid).Stage.name
-                          (Printf.sprintf
-                             "data-dependent access to in-group producer %s has no constant dependence vector"
-                             (Pipeline.stage p prod).Stage.name)
-                        :: !diags)
-                  (Pipeline.loads_between p ~consumer:sid ~producer:prod))
-            (Pipeline.producers p sid))
-        members)
-    spec.Schedule_spec.groups;
-  check_pipeline p @ List.rev !diags

@@ -1,4 +1,4 @@
-(** The DSL lint (pass 4 of [pmdp check]).
+(** The DSL lint: the schedule-independent half of [pmdp check].
 
     Schedule-independent checks over the pipeline program itself,
     re-derived without trusting {!Pmdp_dsl.Pipeline.build}'s own
@@ -16,13 +16,7 @@
     - [const-out-of-domain]: an access to a pipeline input whose index
       interval never meets the input's domain along some dimension.
 
-    [check_schedule] additionally lints against the grouping:
-    - [non-affine-in-group]: a data-dependent ([Cdyn]) access between
-      two stages of the same fused group — such an edge has no
-      constant dependence vector, so the group cannot be legally
-      overlap-tiled. *)
+    Schedule-dependent checks — tile-size smells, fused non-affine
+    accesses — are the whole-plan analyzer's ({!Plan_check}). *)
 
 val check_pipeline : Pmdp_dsl.Pipeline.t -> Diagnostic.t list
-val check_schedule : Pmdp_core.Schedule_spec.t -> Diagnostic.t list
-(** [check_pipeline] of the schedule's pipeline plus the
-    schedule-aware lints. *)

@@ -1,25 +1,7 @@
-module Schedule_spec = Pmdp_core.Schedule_spec
-
 let check_pipeline = Lint.check_pipeline
-
-let check_schedule spec =
-  Legality.check spec @ Bounds.check spec @ Race.check spec @ Lint.check_schedule spec
-
+let check_plan = Plan_check.check
 let errors = Diagnostic.errors
 let is_clean ds = errors ds = []
-
-let check_schedule_result spec =
-  match errors (check_schedule spec) with
-  | [] -> Ok ()
-  | d :: _ as errs ->
-      Error
-        (Pmdp_util.Pmdp_error.Plan_invalid
-           {
-             context = Printf.sprintf "Verify.check_schedule (%d error(s))" (List.length errs);
-             reason = Diagnostic.to_string d;
-           })
-
-let check_plan = Plan_check.check
 
 let check_plan_result ?budget ?workers p ir =
   match errors (check_plan ?budget ?workers p ir) with
@@ -32,10 +14,5 @@ let check_plan_result ?budget ?workers p ir =
              reason = Diagnostic.to_string d;
            })
 
-let oracle spec =
-  match errors (Legality.check spec @ Race.check spec) with
-  | [] -> None
-  | d :: _ -> Some (Diagnostic.to_string d)
-
-let install () = Schedule_spec.set_legality_oracle (Some oracle)
-let uninstall () = Schedule_spec.set_legality_oracle None
+let install () = Pmdp_plan.set_analyzer (Some (fun p ir -> check_plan_result p ir))
+let uninstall () = Pmdp_plan.set_analyzer None

@@ -290,6 +290,7 @@ let check_file file =
   | "tuning.md" ->
       check_flag_inventory file content [ "run"; "bench"; "serve"; "load"; "tune" ]
   | "tuning-loop.md" -> check_flag_inventory file content [ "tune"; "serve"; "run" ]
+  | "verification.md" -> check_flag_inventory file content [ "check" ]
   | _ -> ()
 
 let () =

@@ -3,8 +3,8 @@
    Starts a real 2-shard server on the chosen endpoint, drives it with
    the load generator (100 requests, two pipelines, four clients), and
    checks the acceptance properties — everything succeeds, the warm
-   cache skips compiles, percentiles are populated, the protocol
-   handshake negotiates v3, results are bitwise-equal to the
+   cache skips compiles, percentiles are populated, unknown
+   operations are refused, results are bitwise-equal to the
    reference, and shutdown is clean.  Then, in process: mixed-seed
    load still batches (same-fingerprint requests coalesce on one
    shard), and a service restarted on a warm --cache-dir serves its
@@ -46,15 +46,6 @@ let rm_rf dir =
       (Sys.readdir dir);
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   end
-
-(* One raw frame round trip on a fresh connection (no Client, no
-   handshake) — for poking at the protocol below the codec layer. *)
-let raw_round_trip endpoint req =
-  let fd = Transport.connect endpoint in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Protocol.write_frame fd req;
-  Protocol.read_frame fd
 
 let contains ~needle hay =
   let nh = String.length needle and nl = String.length hay in
@@ -128,8 +119,7 @@ let () =
     (Array.fold_left (fun acc c -> acc + c.Service.completed) 0 stats.Service.shards
     = total.Service.completed);
 
-  (* One direct round trip over the wire: the handshake negotiated v3,
-     validation ran (the service was created with ~validate:true), and
+  (* One direct round trip over the wire: validation ran (the service was created with ~validate:true), and
      the tiled results are bitwise-equal to the reference executor. *)
   let client =
     match Client.connect ~endpoint () with
@@ -138,10 +128,6 @@ let () =
         Printf.printf "service smoke: connect failed: %s\n%!" (Pmdp_error.to_string e);
         exit 1
   in
-  checkf "handshake negotiates the protocol"
-    (fun p -> Printf.sprintf "v%d" p)
-    (Client.proto client)
-    (Client.proto client = Protocol.proto_version);
   (match Client.submit client (Service.request ~scale:32 "blur") with
   | Error e -> check (Printf.sprintf "direct submit (%s)" (Pmdp_error.to_string e)) false
   | Ok r ->
@@ -153,32 +139,32 @@ let () =
         (r.Client.max_abs_diff = Some 0.0);
       check "outputs carry checksums" (r.Client.outputs <> []));
 
-  (* Below the codec: a connection that never says hello is spoken to
-     in v1; an over-eager hello is pinned down to our version; unknown
-     operations name the negotiated dialect. *)
-  (match raw_round_trip endpoint (Json.Obj [ ("op", Json.String "martian") ]) with
-  | Some reply ->
-      check "unknown op before hello names protocol v1"
-        (contains ~needle:"protocol v1" (Json.to_string reply))
-  | None -> check "unknown op before hello answered" false);
+  (* Below the codec, on one raw connection: an operation the server
+     does not know — the retired "hello" included — is refused with an
+     error naming it, and the connection keeps serving. *)
   (let fd = Transport.connect endpoint in
    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
    @@ fun () ->
-   Protocol.write_frame fd (Protocol.json_of_hello 99);
-   (match Protocol.read_frame fd with
-   | Some reply ->
-       check "hello 99 pinned to our version"
-         (Option.bind (Json.member "proto" reply) Json.to_int_opt
-         = Some Protocol.proto_version)
-   | None -> check "hello answered" false);
-   Protocol.write_frame fd (Json.Obj [ ("op", Json.String "martian") ]);
-   match Protocol.read_frame fd with
-   | Some reply ->
-       check "unknown op after hello names protocol v3"
-         (contains ~needle:"protocol v3" (Json.to_string reply))
-   | None -> check "unknown op after hello answered" false);
+   let round_trip op =
+     Protocol.write_frame fd (Json.Obj [ ("op", Json.String op) ]);
+     Protocol.read_frame fd
+   in
+   let ok reply = Option.bind (Json.member "ok" reply) Json.to_bool_opt = Some true in
+   List.iter
+     (fun op ->
+       check
+         (Printf.sprintf "unknown op %S refused by name" op)
+         (match round_trip op with
+         | Some reply ->
+             let text = Json.to_string reply in
+             (not (ok reply)) && contains ~needle:"unknown operation" text
+             && contains ~needle:op text
+         | None -> false))
+     [ "martian"; "hello" ];
+   check "connection still serves after a refusal"
+     (match round_trip "stats" with Some reply -> ok reply | None -> false));
 
-  (* The v3 health op over the wire: every shard alive, nothing
+  (* The health op over the wire: every shard alive, nothing
      draining, no open circuits on a healthy server. *)
   (match Client.health client with
   | Error e -> check (Printf.sprintf "wire health (%s)" (Pmdp_error.to_string e)) false

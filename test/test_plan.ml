@@ -2,7 +2,8 @@
    app x scheduler, instantiated golden plans executing bitwise-equal
    to the reference interpreter, the plan-cache admission gate
    rejecting tampered/stale IRs before anything runs, seeded-bug
-   detection in the whole-plan static analyzer, and DP cost-weight
+   detection in the whole-plan static analyzer (including its
+   legality and bounds proofs), and DP cost-weight
    drift against the committed golden corpus. *)
 
 module Scheduler = Pmdp_core.Scheduler
@@ -246,6 +247,36 @@ let test_analyzer_flags_reversed_edge () =
   Alcotest.(check bool) "dependence error" true
     (has_error_kind ~kind:"dependence" (Verify.check_plan p bad))
 
+(* The legality and bounds proofs re-derive overlap from the DSL
+   accesses, so they catch a plan whose recorded overlap was shrunk
+   after lowering. *)
+let stencil_group () =
+  let p, _, ir = blur_case () in
+  (* several tiles per dimension, so tile edges fall inside the image *)
+  let ir = Plan.retile p ir (Array.map (fun g -> Array.map (fun _ -> 8) g.Plan.tile) ir.Plan.groups) in
+  let overlaps g = Array.exists (Array.exists (fun e -> e <> (0, 0))) g.Plan.expansions in
+  match Array.find_opt overlaps ir.Plan.groups with
+  | Some g -> (p, ir, g)
+  | None -> Alcotest.fail "blur dp plan has no overlapped group"
+
+let test_analyzer_flags_shrunk_overlap () =
+  let p, ir, g = stencil_group () in
+  Alcotest.(check bool) "clean before the mutation" true
+    (Verify.is_clean (Verify.check_plan p ir));
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) (0, 0)) g.Plan.expansions;
+  let diags = Verify.check_plan p ir in
+  Alcotest.(check bool) "expansion error" true (has_error_kind ~kind:"expansion" diags);
+  Alcotest.(check bool) "region-containment error" true
+    (has_error_kind ~kind:"region-containment" diags)
+
+let test_analyzer_flags_narrowed_hull () =
+  let p, ir, g = stencil_group () in
+  Array.iter
+    (fun (e : Plan.edge) -> Array.fill e.Plan.hull 0 (Array.length e.Plan.hull) (0, 0))
+    g.Plan.edges;
+  Alcotest.(check bool) "dependence-hull error" true
+    (has_error_kind ~kind:"dependence-hull" (Verify.check_plan p ir))
+
 let test_analyzer_budget_audit () =
   let p, _, ir = blur_case () in
   Alcotest.(check bool) "over tiny budget" true
@@ -309,6 +340,8 @@ let () =
           Alcotest.test_case "flags dropped liveout" `Quick
             test_analyzer_flags_dropped_liveout;
           Alcotest.test_case "flags reversed edge" `Quick test_analyzer_flags_reversed_edge;
+          Alcotest.test_case "flags shrunk overlap" `Quick test_analyzer_flags_shrunk_overlap;
+          Alcotest.test_case "flags narrowed hull" `Quick test_analyzer_flags_narrowed_hull;
           Alcotest.test_case "budget audit" `Quick test_analyzer_budget_audit;
         ] );
       ( "drift",

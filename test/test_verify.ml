@@ -1,11 +1,14 @@
-(* Tests for the static schedule checker: clean schedules verify with
-   zero errors, and each seeded bug is caught by the intended pass
-   with the intended diagnostic kind. *)
+(* Tests for the static checker: clean schedules lower to plans the
+   analyzer passes with zero errors, and each seeded bug is caught with
+   the intended diagnostic kind — by the whole-plan analyzer on the
+   lowered (or mutated) plan, or, for a defect no plan can carry, by
+   Schedule_spec.validate or lowering with the same kind slug. *)
 
 open Pmdp_dsl
 open Expr
 module GA = Pmdp_analysis.Group_analysis
 module Spec = Pmdp_core.Schedule_spec
+module Plan = Pmdp_plan
 module V = Pmdp_verify.Verify
 module D = Pmdp_verify.Diagnostic
 
@@ -18,135 +21,129 @@ let blur () =
     ~inputs:[ Pipeline.input2 "img" 64 64 ]
     ~stages:[ blurx; blury ] ~outputs:[ "blury" ]
 
+(* blury reads blurx 1000 columns away, far outside its domain. *)
+let corrupt_offset () =
+  let blurx = Stage.pointwise "blurx" dims (Pmdp_apps.Helpers.blur3 "img" ~ndims:2 ~dim:0) in
+  let blury = Stage.pointwise "blury" dims (load "blurx" [| cvar 0; cshift 1 1000 |]) in
+  Pipeline.build ~name:"blur_bad"
+    ~inputs:[ Pipeline.input2 "img" 64 64 ]
+    ~stages:[ blurx; blury ] ~outputs:[ "blury" ]
+
 let config = Pmdp_core.Cost_model.default_config Pmdp_machine.Machine.xeon
 
-let find ?severity ~pass ~kind ds =
+let find ?severity ~kind ds =
   List.exists
     (fun (d : D.t) ->
-      d.D.pass = pass && d.D.kind = kind
-      && match severity with None -> true | Some s -> d.D.severity = s)
+      d.D.kind = kind && match severity with None -> true | Some s -> d.D.severity = s)
     ds
+
+let spec p groups =
+  { Spec.pipeline = p; groups = List.map (fun (stages, tile_sizes) -> { Spec.stages; tile_sizes }) groups }
+
+(* Lower (no analyzer is installed outside [test_install_hook]) and
+   run the full report. *)
+let check (spec : Spec.t) =
+  let p = spec.Spec.pipeline in
+  V.check_pipeline p @ V.check_plan p (Plan.of_spec spec)
+
+let fused_blur tiles = Spec.with_tiles (blur ()) [ ([ 0; 1 ], tiles) ]
+
+(* [Schedule_spec.validate] refuses the spec, naming [kind]. *)
+let refused ~kind (spec : Spec.t) =
+  match Spec.validate spec with
+  | () -> false
+  | exception Invalid_argument msg ->
+      let needle = ": " ^ kind ^ ": " in
+      let n = String.length needle in
+      let rec scan i = i + n <= String.length msg && (String.sub msg i n = needle || scan (i + 1)) in
+      scan 0
 
 (* -------------------- clean schedules -------------------- *)
 
 let test_clean_dp () =
-  let p = blur () in
-  let spec, _ = Spec.dp config p in
-  let ds = V.check_schedule spec in
+  let spec, _ = Spec.dp config (blur ()) in
+  let ds = check spec in
   Alcotest.(check bool) "no errors" true (V.is_clean ds);
   Alcotest.(check int) "no diagnostics at all" 0 (List.length ds)
 
 let test_clean_manual_groups () =
-  let p = blur () in
-  let spec = Spec.with_tiles p [ ([ 0; 1 ], [| 16; 16 |]) ] in
-  Alcotest.(check bool) "no errors" true (V.is_clean (V.check_schedule spec))
+  Alcotest.(check bool) "no errors" true (V.is_clean (check (fused_blur [| 16; 16 |])))
 
 (* -------------------- seeded legality bugs -------------------- *)
 
-(* Tile shrunk to the overlap width: the legality pass must warn that
-   every tile recomputes at least as much as it produces. *)
+(* Tile shrunk to the overlap width: every tile recomputes at least as
+   much as it produces. *)
 let test_seeded_degenerate_tile () =
-  let p = blur () in
-  let spec = Spec.with_tiles p [ ([ 0; 1 ], [| 64; 1 |]) ] in
-  let ds = V.check_schedule spec in
   Alcotest.(check bool) "degenerate-overlap planted" true
-    (find ~severity:D.Warning ~pass:D.Legality ~kind:"degenerate-overlap" ds)
+    (find ~severity:D.Warning ~kind:"degenerate-overlap" (check (fused_blur [| 64; 1 |])))
 
-(* Groups listed consumers-first: catchable only by re-deriving the
-   inter-group dependences. *)
+(* Groups listed consumers-first: validate refuses the spec, and the
+   analyzer catches the same order on a plan whose groups were
+   swapped after lowering. *)
 let test_seeded_group_order () =
   let p = blur () in
-  let spec =
-    {
-      Spec.pipeline = p;
-      groups =
-        [
-          { Spec.stages = [ 1 ]; tile_sizes = [| 64; 64 |] };
-          { Spec.stages = [ 0 ]; tile_sizes = [| 64; 64 |] };
-        ];
-    }
-  in
-  let ds = V.check_schedule spec in
+  Alcotest.(check bool) "validate refuses" true
+    (refused ~kind:"group-order" (spec p [ ([ 1 ], [| 64; 64 |]); ([ 0 ], [| 64; 64 |]) ]));
+  let ir = Plan.of_spec (spec p [ ([ 0 ], [| 64; 64 |]); ([ 1 ], [| 64; 64 |]) ]) in
+  let swapped = { ir with Plan.groups = [| ir.Plan.groups.(1); ir.Plan.groups.(0) |] } in
   Alcotest.(check bool) "group-order planted" true
-    (find ~severity:D.Error ~pass:D.Legality ~kind:"group-order" ds)
+    (find ~severity:D.Error ~kind:"group-order" (V.check_plan p swapped))
 
+(* Lowering refuses a tile wider than its group's extent instead of
+   clamping it, so no plan ever carries one. *)
 let test_seeded_oversized_tile () =
-  let p = blur () in
-  let spec =
-    { Spec.pipeline = p; groups = [ { Spec.stages = [ 0; 1 ]; tile_sizes = [| 100; 100 |] } ] }
-  in
-  let ds = V.check_schedule spec in
-  Alcotest.(check bool) "tile-exceeds-extent planted" true
-    (find ~severity:D.Error ~pass:D.Legality ~kind:"tile-exceeds-extent" ds)
+  Alcotest.(check bool) "tile-exceeds-extent refused" true
+    (match Plan.of_spec_result (spec (blur ()) [ ([ 0; 1 ], [| 100; 100 |]) ]) with
+    | Error (Pmdp_util.Pmdp_error.Plan_invalid { reason; _ }) ->
+        String.starts_with ~prefix:"tile-exceeds-extent: " reason
+    | Ok _ | Error _ -> false)
 
 (* -------------------- seeded bounds bug -------------------- *)
 
-(* Corrupted access offset: blury reads blurx 1000 columns away, far
-   outside its domain. *)
 let test_seeded_corrupt_offset () =
-  let blurx = Stage.pointwise "blurx" dims (Pmdp_apps.Helpers.blur3 "img" ~ndims:2 ~dim:0) in
-  let blury = Stage.pointwise "blury" dims (load "blurx" [| cvar 0; cshift 1 1000 |]) in
-  let p =
-    Pipeline.build ~name:"blur_bad"
-      ~inputs:[ Pipeline.input2 "img" 64 64 ]
-      ~stages:[ blurx; blury ] ~outputs:[ "blury" ]
-  in
-  let spec = Spec.with_tiles p [ ([ 0; 1 ], [| 16; 16 |]) ] in
-  let ds = V.check_schedule spec in
+  let spec = Spec.with_tiles (corrupt_offset ()) [ ([ 0; 1 ], [| 16; 16 |]) ] in
   Alcotest.(check bool) "out-of-domain planted" true
-    (find ~severity:D.Error ~pass:D.Bounds ~kind:"out-of-domain" ds)
+    (find ~severity:D.Error ~kind:"out-of-domain" (check spec))
 
 (* -------------------- seeded race bug -------------------- *)
 
-(* The output stage duplicated into a second group: two groups write
-   the same live-out buffer. *)
+(* The output stage duplicated into a second group: two groups would
+   write the same live-out buffer.  A spec like that is refused; a
+   plan like that fails the analyzer's partition check. *)
 let test_seeded_multi_writer () =
   let p = blur () in
-  let spec =
-    {
-      Spec.pipeline = p;
-      groups =
-        [
-          { Spec.stages = [ 0; 1 ]; tile_sizes = [| 64; 64 |] };
-          { Spec.stages = [ 1 ]; tile_sizes = [| 64; 64 |] };
-        ];
-    }
-  in
-  let ds = V.check_schedule spec in
-  Alcotest.(check bool) "multi-writer planted" true
-    (find ~severity:D.Error ~pass:D.Race ~kind:"multi-writer" ds)
+  Alcotest.(check bool) "multi-writer refused" true
+    (refused ~kind:"multi-writer" (spec p [ ([ 0; 1 ], [| 64; 64 |]); ([ 1 ], [| 64; 64 |]) ]));
+  let ir = Plan.of_spec (spec p [ ([ 0; 1 ], [| 64; 64 |]) ]) in
+  let twice = { ir with Plan.groups = Array.append ir.Plan.groups ir.Plan.groups } in
+  Alcotest.(check bool) "partition planted" true
+    (find ~severity:D.Error ~kind:"partition" (V.check_plan p twice))
 
 (* -------------------- lint -------------------- *)
 
 (* Tile of width 1 along the innermost dimension: legal, but all
-   spatial locality is gone — the lint pass must say so. *)
+   spatial locality is gone. *)
 let test_lint_one_wide_innermost () =
-  let p = blur () in
-  let spec = Spec.with_tiles p [ ([ 0; 1 ], [| 64; 1 |]) ] in
-  let ds = V.check_schedule spec in
   Alcotest.(check bool) "one-wide-innermost planted" true
-    (find ~severity:D.Warning ~pass:D.Lint ~kind:"one-wide-innermost" ds)
+    (find ~severity:D.Warning ~kind:"one-wide-innermost" (check (fused_blur [| 64; 1 |])))
 
-(* Tile larger than the iteration extent: lowering clamps it, but the
-   schedule as written asks for a meaningless tiling. *)
+(* A plan whose tile exceeds the iteration extent (lowering would
+   have clamped it) executes correctly but asks for a meaningless
+   tiling: a warning, not an error. *)
 let test_lint_tile_oversized () =
   let p = blur () in
-  let spec =
-    { Spec.pipeline = p; groups = [ { Spec.stages = [ 0; 1 ]; tile_sizes = [| 100; 100 |] } ] }
-  in
-  let ds = V.check_schedule spec in
+  let ir = Plan.of_spec (fused_blur [| 64; 64 |]) in
+  ir.Plan.groups.(0).Plan.tile.(0) <- 100;
+  let ds = V.check_plan p ir in
   Alcotest.(check bool) "tile-oversized planted" true
-    (find ~severity:D.Warning ~pass:D.Lint ~kind:"tile-oversized" ds)
+    (find ~severity:D.Warning ~kind:"tile-oversized" ds);
+  Alcotest.(check bool) "and nothing worse" true (V.is_clean ds)
 
-(* Clean in-tree schedules must not trip the new tile-size lints. *)
+(* Clean in-tree schedules must not trip the tile-size lints. *)
 let test_lint_clean_tiles () =
-  let p = blur () in
-  let spec = Spec.with_tiles p [ ([ 0; 1 ], [| 16; 16 |]) ] in
-  let ds = V.check_schedule spec in
-  Alcotest.(check bool) "no one-wide-innermost" false
-    (find ~pass:D.Lint ~kind:"one-wide-innermost" ds);
-  Alcotest.(check bool) "no tile-oversized" false
-    (find ~pass:D.Lint ~kind:"tile-oversized" ds)
+  let ds = check (fused_blur [| 16; 16 |]) in
+  Alcotest.(check bool) "no one-wide-innermost" false (find ~kind:"one-wide-innermost" ds);
+  Alcotest.(check bool) "no tile-oversized" false (find ~kind:"tile-oversized" ds)
 
 let test_lint_unused_stage () =
   let blurx = Stage.pointwise "blurx" dims (Pmdp_apps.Helpers.blur3 "img" ~ndims:2 ~dim:0) in
@@ -159,7 +156,7 @@ let test_lint_unused_stage () =
   in
   let ds = V.check_pipeline p in
   Alcotest.(check bool) "unused-stage" true
-    (find ~severity:D.Warning ~pass:D.Lint ~kind:"unused-stage" ds)
+    (find ~severity:D.Warning ~kind:"unused-stage" ds && List.for_all (fun d -> d.D.pass = D.Lint) ds)
 
 (* -------------------- validate hardening -------------------- *)
 
@@ -167,23 +164,49 @@ let invalid f = try f (); false with Invalid_argument _ -> true
 
 let test_validate_rejects_bad_tiles () =
   let p = blur () in
-  let zero = { Spec.pipeline = p; groups = [ { Spec.stages = [ 0; 1 ]; tile_sizes = [| 0; 64 |] } ] } in
-  Alcotest.(check bool) "zero tile rejected" true (invalid (fun () -> Spec.validate zero));
-  let empty = { Spec.pipeline = p; groups = [ { Spec.stages = [ 0; 1 ]; tile_sizes = [||] } ] } in
-  Alcotest.(check bool) "empty tile array rejected" true (invalid (fun () -> Spec.validate empty))
+  Alcotest.(check bool) "zero tile rejected" true
+    (refused ~kind:"tile-nonpositive" (spec p [ ([ 0; 1 ], [| 0; 64 |]) ]));
+  Alcotest.(check bool) "empty tile array rejected" true
+    (refused ~kind:"tile-arity" (spec p [ ([ 0; 1 ], [||]) ]))
 
-let test_legality_oracle () =
+(* After [Verify.install], every lowering entry point refuses every
+   error-severity seed; without it, only the refusals of validate and
+   lowering remain. *)
+let test_install_hook () =
   let p = blur () in
-  (* passes the basic partition/order/positivity checks, but the tile
-     exceeds the scaled extent: only the oracle can reject it *)
-  let bad =
-    { Spec.pipeline = p; groups = [ { Spec.stages = [ 0; 1 ]; tile_sizes = [| 100; 100 |] } ] }
+  let seeds =
+    [
+      spec p [ ([ 1 ], [| 64; 64 |]); ([ 0 ], [| 64; 64 |]) ];
+      spec p [ ([ 0; 1 ], [| 100; 100 |]) ];
+      spec p [ ([ 0; 1 ], [| 64; 64 |]); ([ 1 ], [| 64; 64 |]) ];
+      Spec.with_tiles (corrupt_offset ()) [ ([ 0; 1 ], [| 16; 16 |]) ];
+    ]
   in
-  Spec.validate bad;
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception (Invalid_argument _ | Pmdp_util.Pmdp_error.Error _) -> true
+  in
+  let entry_points (s : Spec.t) =
+    [
+      ("Pmdp_plan.of_spec", fun () -> ignore (Plan.of_spec s));
+      ("Tiled_exec.plan", fun () -> ignore (Pmdp_exec.Tiled_exec.plan s));
+      ("C_emit.emit", fun () -> ignore (Pmdp_codegen.C_emit.emit s));
+    ]
+  in
+  let corrupt = List.nth seeds 3 in
+  Alcotest.(check bool) "uninstalled: the analyzer does not run" false
+    (raises (fun () -> Plan.of_spec corrupt));
   V.install ();
   Fun.protect ~finally:V.uninstall (fun () ->
-      Alcotest.(check bool) "oracle rejects" true (invalid (fun () -> Spec.validate bad)));
-  Spec.validate bad
+      List.iter
+        (fun s ->
+          List.iter
+            (fun (what, f) -> Alcotest.(check bool) (what ^ " refuses the seed") true (raises f))
+            (entry_points s))
+        seeds;
+      Alcotest.(check bool) "clean schedules still lower" false
+        (raises (fun () -> Plan.of_spec (fused_blur [| 16; 16 |]))))
 
 (* -------------------- machine-readable failures -------------------- *)
 
@@ -343,7 +366,7 @@ let () =
       ( "validate",
         [
           Alcotest.test_case "bad tiles" `Quick test_validate_rejects_bad_tiles;
-          Alcotest.test_case "oracle" `Quick test_legality_oracle;
+          Alcotest.test_case "install hook" `Quick test_install_hook;
         ] );
       ("failures", [ Alcotest.test_case "format" `Quick test_failure_format ]);
       ("scratch", [ Alcotest.test_case "extents agree" `Quick test_scratch_extents_agree ]);

@@ -1,6 +1,7 @@
 (* Static-verification sweep: every registry pipeline x every
-   non-executing scheduler, on both machine models, must check with
-   zero errors.  Run directly or via `dune runtest`.
+   non-executing scheduler, on both machine models, must lower and
+   pass the pipeline lint and the whole-plan analyzer with zero
+   errors.  Run directly or via `dune runtest`.
 
    Every case runs even when an earlier one fails — a scheduler that
    raises on one app must not mask results for the rest — and the
@@ -37,7 +38,18 @@ let () =
                       incr failures;
                       case_header ("scheduler raised: " ^ Printexc.to_string e)
                   | sched ->
-                      let ds = Pmdp_verify.Verify.check_schedule sched in
+                      let lowered =
+                        match Pmdp_plan.of_spec_result sched with
+                        | Ok ir -> Pmdp_verify.Verify.check_plan p ir
+                        | Error e ->
+                            [
+                              Pmdp_verify.Diagnostic.make Pmdp_verify.Diagnostic.Plan
+                                Pmdp_verify.Diagnostic.Error
+                                ~kind:(Pmdp_util.Pmdp_error.kind e)
+                                (Pmdp_util.Pmdp_error.message e);
+                            ]
+                      in
+                      let ds = Pmdp_verify.Verify.check_pipeline p @ lowered in
                       let errs = Pmdp_verify.Verify.errors ds in
                       case_header (Pmdp_verify.Diagnostic.summary ds);
                       if errs <> [] then begin
