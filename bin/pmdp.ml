@@ -79,44 +79,63 @@ let scheduler_t =
   Arg.(value & opt scheduler_conv Scheduler.Dp
        & info [ "scheduler"; "s" ] ~doc:(Printf.sprintf "Scheduler: %s." (Scheduler.names ())))
 
-let pool_sched_conv =
-  Arg.enum [ ("static", Pool.Static); ("dynamic", Pool.Dynamic); ("chunked", Pool.Chunked 0) ]
+let pool_sched_t =
+  let pool_sched_conv =
+    Arg.enum [ ("static", Pool.Static); ("dynamic", Pool.Dynamic); ("chunked", Pool.Chunked 0) ]
+  in
+  Arg.(value & opt (some pool_sched_conv) None
+       & info [ "pool-sched" ] ~doc:"Tile distribution: static, dynamic, or chunked (default).")
 
-(* Shared by run/bench/serve.  Native execution is opt-in: the
-   interpreter is the semantic baseline and every kernel must pass its
-   admission gate against it anyway. *)
-let native_t =
-  Arg.(
-    value
-    & vflag false
-        [
-          ( true,
-            info [ "native" ]
-              ~doc:
-                "Compile each plan's fused groups to C, dlopen the shared object, and \
-                 execute natively. Kernels are validated against the reference executor \
-                 before first use and cached per plan digest; when none can be admitted \
-                 (no C compiler, compile or validation failure) execution falls back to \
-                 the interpreter." );
-          ( false,
-            info [ "no-native" ]
-              ~doc:"Force the tiled interpreter even where a native kernel could run \
-                    (default)." );
-        ])
+(* The execution backend run/bench/serve select.  Native execution is
+   opt-in: the interpreter is the semantic baseline and every kernel
+   must pass its admission gate against it anyway. *)
+type backend = { native : bool; native_march : bool }
 
-(* -march=native is a separate opt-in from --native: it forfeits
-   bitwise reproducibility (the kernels are admitted under the epsilon
-   gate only), so asking for it must be explicit.  It implies the
-   native backend. *)
-let native_march_t =
-  Arg.(
-    value & flag
-    & info [ "native-march" ]
-        ~doc:
-          "Compile native kernels with -march=native (implies --native): the compiler may \
-           vectorize with FMA and wider registers, so kernels can no longer match the \
-           interpreter bitwise and are admitted under the relative-epsilon gate only. \
-           Compiled objects are cached under a separate key from plain builds.")
+let backend_t =
+  let native =
+    Arg.(
+      value
+      & vflag false
+          [
+            ( true,
+              info [ "native" ]
+                ~doc:
+                  "Compile each plan's fused groups to C, dlopen the shared object, and \
+                   execute natively. Kernels are validated against the reference executor \
+                   before first use and cached per plan digest; when none can be admitted \
+                   (no C compiler, compile or validation failure) execution falls back to \
+                   the interpreter." );
+            ( false,
+              info [ "no-native" ]
+                ~doc:"Force the tiled interpreter even where a native kernel could run \
+                      (default)." );
+          ])
+  in
+  (* -march=native is a separate opt-in from --native: it forfeits
+     bitwise reproducibility (the kernels are admitted under the
+     epsilon gate only), so asking for it must be explicit.  It
+     implies the native backend. *)
+  let native_march =
+    Arg.(
+      value & flag
+      & info [ "native-march" ]
+          ~doc:
+            "Compile native kernels with -march=native (implies --native): the compiler may \
+             vectorize with FMA and wider registers, so kernels can no longer match the \
+             interpreter bitwise and are admitted under the relative-epsilon gate only. \
+             Compiled objects are cached under a separate key from plain builds.")
+  in
+  Term.(const (fun native native_march -> { native; native_march }) $ native $ native_march)
+
+(* Run [f] with the native runner installed as the resilient chain's
+   first step when the backend asks for it, and taken down afterwards
+   whatever [f] does. *)
+let with_backend b f =
+  if b.native || b.native_march then begin
+    Pmdp_kernel.Native_exec.install (Pmdp_kernel.Native_exec.create ~march:b.native_march ());
+    Fun.protect ~finally:Pmdp_kernel.Native_exec.uninstall f
+  end
+  else f ()
 
 (* Every scheduling path in the CLI builds its config through this one
    constructor, so a loaded calibration reaches all of them the same
@@ -192,13 +211,11 @@ let run_cmd =
      fault injection) and validate against the reference executor."
   in
   let run (app : Registry.app) scale machine scheduler workers pool_sched profile mem_budget
-      inject seed timeout native native_march trace =
+      inject seed timeout backend trace =
     let pipeline = build app scale in
     let inputs = app.Registry.inputs ~seed:1 pipeline in
     let sched = make_schedule scheduler machine pipeline in
     trace_begin trace;
-    if native || native_march then
-      Pmdp_kernel.Native_exec.install (Pmdp_kernel.Native_exec.create ~march:native_march ());
     let pool = if workers > 1 then Some (Pool.create workers) else None in
     let collector =
       Pmdp_report.Profile.collector ~pipeline:pipeline.Pmdp_dsl.Pipeline.name ~workers
@@ -221,14 +238,17 @@ let run_cmd =
               sched.Pmdp_core.Schedule_spec.groups))
     end;
     let fault = Option.map (fun specs -> Pmdp_runtime.Fault.create ~seed specs) inject in
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      Pmdp_exec.Resilient.run ?pool ?sched:pool_sched ~profile:collector ~machine ?mem_budget
-        ?fault ?timeout sched ~inputs
+    let outcome, elapsed =
+      with_backend backend (fun () ->
+          (* timed inside the bracket: the toolchain probe is not part of the run *)
+          let t0 = Unix.gettimeofday () in
+          let outcome =
+            Pmdp_exec.Resilient.run ?pool ?sched:pool_sched ~profile:collector ~machine
+              ?mem_budget ?fault ?timeout sched ~inputs
+          in
+          (outcome, Unix.gettimeofday () -. t0))
     in
-    let elapsed = Unix.gettimeofday () -. t0 in
     Option.iter Pool.shutdown pool;
-    if native || native_march then Pmdp_kernel.Native_exec.uninstall ();
     if Trace.on () then Pmdp_report.Profile.set_counters collector (Trace.counter_totals ());
     trace_end trace;
     match outcome with
@@ -278,10 +298,6 @@ let run_cmd =
         if worst <> 0.0 && not (completed = "native" && worst_rel <= 1e-6) then exit 1
   in
   let workers_t = Arg.(value & opt int 1 & info [ "workers"; "j" ] ~doc:"Worker domains.") in
-  let pool_sched_t =
-    Arg.(value & opt (some pool_sched_conv) None
-         & info [ "pool-sched" ] ~doc:"Tile distribution: static, dynamic, or chunked (default).")
-  in
   let profile_t =
     Arg.(value & flag & info [ "profile" ] ~doc:"Print the per-group execution profile.")
   in
@@ -307,8 +323,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ app_t $ scale_t $ machine_t $ scheduler_t $ workers_t $ pool_sched_t
-          $ profile_t $ mem_budget_t $ inject_t $ seed_t $ timeout_t $ native_t
-          $ native_march_t $ trace_t)
+          $ profile_t $ mem_budget_t $ inject_t $ seed_t $ timeout_t $ backend_t $ trace_t)
 
 let bench_cmd =
   let doc =
@@ -316,17 +331,15 @@ let bench_cmd =
      against the reference executor, and write the results (median/min wall-clock and \
      per-group profiles) as JSON."
   in
-  let run machine scale reps workers schedulers pool_sched output apps quiet native
-      native_march trace =
+  let run machine scale reps workers schedulers pool_sched output apps quiet backend trace =
     let apps = match apps with [] -> Registry.all | apps -> apps in
     let log = if quiet then fun _ -> () else print_endline in
     trace_begin trace;
-    if native || native_march then
-      Pmdp_kernel.Native_exec.install (Pmdp_kernel.Native_exec.create ~march:native_march ());
     let outcomes =
-      Pmdp_bench.Runner.run_all ?pool_sched ~log ~reps ~scale ~machine ~workers ~schedulers apps
+      with_backend backend (fun () ->
+          Pmdp_bench.Runner.run_all ?pool_sched ~log ~reps ~scale ~machine ~workers ~schedulers
+            apps)
     in
-    if native || native_march then Pmdp_kernel.Native_exec.uninstall ();
     trace_end trace;
     let path =
       match output with Some p -> p | None -> Pmdp_bench.Runner.default_path machine
@@ -357,10 +370,6 @@ let bench_cmd =
                       excluded by default because it executes its own schedule sweep."
                      (Scheduler.names ())))
   in
-  let pool_sched_t =
-    Arg.(value & opt (some pool_sched_conv) None
-         & info [ "pool-sched" ] ~doc:"Tile distribution: static, dynamic, or chunked (default).")
-  in
   let out_t =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~doc:"Output file (default BENCH_<machine>.json).")
@@ -371,7 +380,7 @@ let bench_cmd =
   let quiet_t = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-case progress lines.") in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(const run $ machine_t $ scale_t $ reps_t $ workers_t $ schedulers_t $ pool_sched_t
-          $ out_t $ apps_t $ quiet_t $ native_t $ native_march_t $ trace_t)
+          $ out_t $ apps_t $ quiet_t $ backend_t $ trace_t)
 
 let trace_cmd =
   let doc =
@@ -403,10 +412,6 @@ let trace_cmd =
     Format.pp_print_newline Format.std_formatter ()
   in
   let workers_t = Arg.(value & opt int 4 & info [ "workers"; "j" ] ~doc:"Worker domains.") in
-  let pool_sched_t =
-    Arg.(value & opt (some pool_sched_conv) None
-         & info [ "pool-sched" ] ~doc:"Tile distribution: static, dynamic, or chunked (default).")
-  in
   let out_t =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~doc:"Also write the Chrome trace-event JSON here.")
@@ -674,17 +679,15 @@ let serve_cmd =
      --drain-timeout)."
   in
   let run machine workers mem_budget max_inflight batch_window validate shards queue_limit
-      cache_dir breaker_threshold breaker_cooldown drain_timeout socket endpoint native
-      kernel_cache_dir native_march calib_file retune trace =
+      cache_dir breaker_threshold breaker_cooldown drain_timeout socket endpoint backend
+      kernel_cache_dir calib_file trace =
     trace_begin trace;
     let calib = Option.map (load_calib machine) calib_file in
-    let retune =
-      if retune then Some Pmdp_service.Retune.default_config else None
-    in
     let service =
       Pmdp_service.Service.create ~workers ?mem_budget ~max_inflight ~batch_window ~validate
-        ~shards ~queue_limit ?cache_dir ~breaker_threshold ~breaker_cooldown ~native
-        ?kernel_cache_dir ~native_march ?calib ?retune ~machine ()
+        ~shards ~queue_limit ?cache_dir ~breaker_threshold ~breaker_cooldown
+        ~native:backend.native ?kernel_cache_dir ~native_march:backend.native_march ?calib
+        ~machine ()
     in
     let server =
       Pmdp_service.Server.start ~service ~endpoint:(resolve_endpoint endpoint socket) ()
@@ -695,7 +698,7 @@ let serve_cmd =
       shards workers machine.Pmdp_machine.Machine.name
       (Pmdp_service.Service.mem_budget service)
       ((match cache_dir with None -> "" | Some d -> ", plan cache " ^ d)
-      ^ (match kernel_cache_dir with Some d -> ", native kernels in " ^ d | None -> if native then ", native kernels" else ""));
+      ^ (match kernel_cache_dir with Some d -> ", native kernels in " ^ d | None -> if backend.native then ", native kernels" else ""));
     (* OCaml signal handlers only run when a thread reaches a
        safepoint — and a process whose every thread is parked in C
        (condition waits, accept) never does.  So the handler just
@@ -741,15 +744,6 @@ let serve_cmd =
       s.Pmdp_service.Service.breaker.Pmdp_service.Breaker.trips
       s.Pmdp_service.Service.breaker.Pmdp_service.Breaker.rejects
       s.Pmdp_service.Service.breaker.Pmdp_service.Breaker.closes;
-    (match s.Pmdp_service.Service.retune with
-    | None -> ()
-    | Some r ->
-        Printf.printf
-          "pmdp serve: retune — %d observed, %d hot, %d attempts, %d wins, %d losses, %d \
-           swaps\n%!"
-          r.Pmdp_service.Retune.observed r.Pmdp_service.Retune.hot
-          r.Pmdp_service.Retune.started r.Pmdp_service.Retune.wins
-          r.Pmdp_service.Retune.losses r.Pmdp_service.Retune.swaps);
     (match Pmdp_service.Service.kernel_stats service with
     | None -> ()
     | Some k ->
@@ -831,22 +825,11 @@ let serve_cmd =
                    without invoking the C compiler. Implies --native; loaded objects are \
                    checksum-verified and re-validated before use.")
   in
-  let retune_t =
-    Arg.(
-      value & flag
-      & info [ "retune" ]
-          ~doc:
-            "Enable online re-optimization: per-fingerprint latency EWMAs mark hot plans, a \
-             background tuner searches for better tile sizes under the (calibrated) cost \
-             model, and the cached plan is atomically swapped only after the candidate wins \
-             a guarded A/B comparison. Watch the service.retune.start/win/lose/swap trace \
-             counters and the retune block of the stats op.")
-  in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ machine_t $ workers_t $ mem_budget_t $ max_inflight_t $ batch_window_t
           $ validate_t $ shards_t $ queue_limit_t $ cache_dir_t $ breaker_threshold_t
-          $ breaker_cooldown_t $ drain_timeout_t $ socket_t $ endpoint_t $ native_t
-          $ kernel_cache_dir_t $ native_march_t $ calib_file_t $ retune_t $ trace_t)
+          $ breaker_cooldown_t $ drain_timeout_t $ socket_t $ endpoint_t $ backend_t
+          $ kernel_cache_dir_t $ calib_file_t $ trace_t)
 
 let load_cmd =
   let doc =

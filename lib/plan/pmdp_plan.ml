@@ -326,73 +326,6 @@ let group_analysis p (g : group) : Group_analysis.t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Re-tiling: same grouping, new tile sizes.  The tile search
-   (lib/tune) and the service's online retuner perturb tiles on an
-   already-admitted IR; everything tile-derived — tiles_per_dim,
-   n_tiles, member scratch extents, arena sizes — is recomputed
-   through the same formulas lowering uses, while grouping, liveouts
-   and the working set are tile-independent and carried over.  The
-   result is a fresh IR with a fresh digest that must pass the same
-   admission gate as any other plan. *)
-
-let retile p t tiles =
-  let ngroups = Array.length t.groups in
-  if Array.length tiles <> ngroups then
-    Pmdp_error.raise_
-      (Pmdp_error.Arity_mismatch
-         {
-           context = "Pmdp_plan.retile: groups";
-           expected = ngroups;
-           got = Array.length tiles;
-         });
-  let groups =
-    Array.mapi
-      (fun gi g ->
-        let ga = group_analysis p g in
-        if Array.length tiles.(gi) <> g.n_dims then
-          Pmdp_error.raise_
-            (Pmdp_error.Arity_mismatch
-               {
-                 context = "Pmdp_plan.retile: tile sizes";
-                 expected = g.n_dims;
-                 got = Array.length tiles.(gi);
-               });
-        Array.iteri
-          (fun d s ->
-            if s < 1 then
-              plan_invalid "retile: tile size %d along group dim %d" s d)
-          tiles.(gi);
-        let tile = Footprint.clamp_tile ga tiles.(gi) in
-        let tiles_per_dim =
-          Array.init g.n_dims (fun d ->
-              let extent = Group_analysis.dim_extent ga d in
-              (extent + tile.(d) - 1) / tile.(d))
-        in
-        let n_tiles = Array.fold_left ( * ) 1 tiles_per_dim in
-        let members =
-          Array.mapi
-            (fun m mir ->
-              let scratch_extents = member_scratch_extents ga ~member:m ~tile in
-              let max_scratch =
-                if mir.direct then 0 else Array.fold_left ( * ) 1 scratch_extents
-              in
-              { mir with scratch_extents; max_scratch })
-            g.members
-        in
-        { g with members; tile; tiles_per_dim; n_tiles })
-      t.groups
-  in
-  let scratch_bytes_per_worker =
-    Array.fold_left (fun acc g -> max acc (arena_bytes g)) 0 groups
-  in
-  { t with groups; scratch_bytes_per_worker }
-
-let retile_result p t tiles =
-  match retile p t tiles with
-  | ir -> Ok ir
-  | exception Pmdp_error.Error e -> Error e
-
-(* ------------------------------------------------------------------ *)
 (* JSON codec.  Field order is fixed; every emission path goes through
    these constructors, so equal IRs render byte-identically and the
    digest is a content address. *)

@@ -103,23 +103,6 @@ val set_analyzer :
     service's plan cache — refuses a plan with an error-severity
     diagnostic. *)
 
-val retile : Pmdp_dsl.Pipeline.t -> t -> int array array -> t
-(** Same grouping, new tile sizes (one array per group, clamped to the
-    group's scaled extents).  Everything tile-derived — tiles_per_dim,
-    n_tiles, member scratch extents, arena sizes — is recomputed with
-    the formulas lowering uses; grouping, liveouts and the working set
-    are tile-independent and carried over.  The result is a fresh IR
-    with a fresh digest that must pass the same admission gate as any
-    other plan (the tile search and the service's online retuner build
-    candidates this way).
-    @raise Pmdp_util.Pmdp_error.Error ([Arity_mismatch] on a
-    wrong-length outer or inner array, [Plan_invalid] on tile sizes
-    < 1 or an IR that does not fit the pipeline). *)
-
-val retile_result :
-  Pmdp_dsl.Pipeline.t -> t -> int array array -> (t, Pmdp_util.Pmdp_error.t) result
-(** {!retile} with raises converted to typed errors. *)
-
 val group_analysis : Pmdp_dsl.Pipeline.t -> group -> Group_analysis.t
 (** Reconstruct the analysis record an IR group denotes, against the
     given pipeline (edge offset lists collapse to their hulls).  This

@@ -50,11 +50,20 @@ let create () =
     load_rejects = 0;
   }
 
-let fingerprint ~app ~scale ~scheduler ~(machine : Machine.t) =
+(* The calibration suffix is only appended when weights are loaded,
+   so uncalibrated fingerprints keep naming the disk-cache envelopes
+   already stored under them. *)
+let fingerprint ?calib ~app ~scale ~scheduler ~(machine : Machine.t) () =
+  let calib =
+    match calib with
+    | None -> ""
+    | Some (c : Pmdp_core.Cost_model.calibration) ->
+        Printf.sprintf "|calib=%h,%h,%h,%h,%h" c.c0 c.c_mem c.c_idle c.c_overlap c.c_mismatch
+  in
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "pmdp-plan-v1|app=%s|scale=%d|scheduler=%s|machine=%s|cores=%d" app scale
-          (Scheduler.to_string scheduler) machine.Machine.name machine.Machine.cores))
+       (Printf.sprintf "pmdp-plan-v1|app=%s|scale=%d|scheduler=%s|machine=%s|cores=%d%s" app
+          scale (Scheduler.to_string scheduler) machine.Machine.name machine.Machine.cores calib))
 
 (* Instantiate a plan IR for [pipeline] with the gate every path into
    a Ready slot shares: the claimed digest must match the IR's content
@@ -116,7 +125,7 @@ let admit_loaded ~fp ~(app : Registry.app) ~pipeline ~scheduler ~ir ~digest =
 let load ~pipeline ~ir ~digest = admit_ir ~pipeline ~ir ~digest
 
 let get t ?load ?store ?quarantine ?calib ~(app : Registry.app) ~scale ~scheduler ~machine () =
-  let fp = fingerprint ~app:app.Registry.name ~scale ~scheduler ~machine in
+  let fp = fingerprint ?calib ~app:app.Registry.name ~scale ~scheduler ~machine () in
   Mutex.lock t.lock;
   let rec obtain () =
     match Hashtbl.find_opt t.table fp with
@@ -177,8 +186,8 @@ let get t ?load ?store ?quarantine ?calib ~(app : Registry.app) ~scale ~schedule
   in
   obtain ()
 
-let preload t ~(app : Registry.app) ~scale ~scheduler ~machine ~ir ~digest =
-  let fp = fingerprint ~app:app.Registry.name ~scale ~scheduler ~machine in
+let preload t ?calib ~(app : Registry.app) ~scale ~scheduler ~machine ~ir ~digest () =
+  let fp = fingerprint ?calib ~app:app.Registry.name ~scale ~scheduler ~machine () in
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.table fp with
   | Some _ ->
@@ -205,23 +214,6 @@ let preload t ~(app : Registry.app) ~scale ~scheduler ~machine ~ir ~digest =
       Condition.broadcast t.built;
       Mutex.unlock t.lock;
       Result.map (fun _ -> ()) r)
-
-(* Atomically replace a Ready slot — the online retuner's swap.  Only
-   an existing, successfully built entry may be replaced (a Building
-   slot has a requester waiting on it; an absent one means the
-   fingerprint was never served here), so a racing eviction or a
-   late-arriving tuner loses cleanly. *)
-let swap t ~fingerprint ~entry =
-  Mutex.lock t.lock;
-  let swapped =
-    match Hashtbl.find_opt t.table fingerprint with
-    | Some (Ready (Ok _)) ->
-        Hashtbl.replace t.table fingerprint (Ready (Ok entry));
-        true
-    | _ -> false
-  in
-  Mutex.unlock t.lock;
-  swapped
 
 let stats t =
   Mutex.lock t.lock;

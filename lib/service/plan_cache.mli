@@ -46,15 +46,20 @@ type t
 val create : unit -> t
 
 val fingerprint :
+  ?calib:Pmdp_core.Cost_model.calibration ->
   app:string ->
   scale:int ->
   scheduler:Pmdp_core.Scheduler.t ->
   machine:Pmdp_machine.Machine.t ->
+  unit ->
   string
 (** Stable hex digest of the plan-relevant bindings.  Identical
     bindings always produce the same fingerprint (within and across
     processes); changing any of app, scale, scheduler, machine name,
-    or machine core count changes it. *)
+    machine core count, or the calibration weights changes it.
+    Without [calib] only the bindings above are digested, so
+    uncalibrated fingerprints name the same disk-cache envelopes
+    whether or not any server runs calibrated. *)
 
 val get :
   t ->
@@ -80,10 +85,9 @@ val get :
     compiles
     ([`Miss]) and, on success, offers the fresh IR to [store].
     [calib] threads fitted cost-model weights into the scheduling
-    config ({!Pmdp_core.Cost_model.config_of_machine}); it does not
-    enter the fingerprint — a server runs one calibration
-    process-wide, and cached plans swap via {!swap} when the online
-    retuner wins, so keys stay stable across calibration updates.
+    config ({!Pmdp_core.Cost_model.config_of_machine}) and into the
+    fingerprint, so a plan scheduled under one model is never served
+    (or loaded) under another.
     Never raises: compile failures surface as the cached typed error.
     A slot only becomes [Ready] after its plan IR passes the digest
     check and the whole-plan static analyzer
@@ -92,15 +96,18 @@ val get :
 
 val preload :
   t ->
+  ?calib:Pmdp_core.Cost_model.calibration ->
   app:Pmdp_apps.Registry.app ->
   scale:int ->
   scheduler:Pmdp_core.Scheduler.t ->
   machine:Pmdp_machine.Machine.t ->
   ir:Pmdp_plan.t ->
   digest:string ->
+  unit ->
   (unit, Pmdp_util.Pmdp_error.t) result
 (** Eagerly admit an externally supplied IR into the slot for these
-    bindings (startup warm-load).  The full gate applies.  A rejection
+    bindings, [calib] included as in {!get} (startup warm-load).  The
+    full gate applies.  A rejection
     — tampered digest, analyzer failure — leaves the slot {e empty},
     not poisoned: the first real request recompiles from scratch.
     An already-occupied slot is left alone ([Ok ()]).  Does not count
@@ -120,15 +127,6 @@ val load :
     errors; only then is the IR instantiated.  Every rejection is a
     typed [Plan_invalid] — nothing is ever executed from a plan that
     fails the gate. *)
-
-val swap : t -> fingerprint:string -> entry:entry -> bool
-(** Atomically replace the Ready entry for [fingerprint] — the online
-    retuner's commit.  [false] (and no change) unless the slot
-    currently holds a successfully built entry: a Building slot has a
-    requester waiting on it and an absent slot was never served here,
-    so a late-arriving tuner loses cleanly.  The caller is responsible
-    for having passed the new entry's IR through the same admission
-    gate as every other path ({!load}). *)
 
 type stats = {
   hits : int;  (** requests served from a ready slot (incl. waiters) *)

@@ -274,19 +274,6 @@ let json_of_stats (s : Service.stats) =
                 s.Service.shards)) );
       ("totals", Json.Obj (fields_of_counters s.Service.total));
       ("breaker", json_of_breaker s.Service.breaker);
-      ( "retune",
-        match s.Service.retune with
-        | None -> Json.Null
-        | Some r ->
-            Json.Obj
-              [
-                ("observed", Json.Int r.Retune.observed);
-                ("hot", Json.Int r.Retune.hot);
-                ("started", Json.Int r.Retune.started);
-                ("wins", Json.Int r.Retune.wins);
-                ("losses", Json.Int r.Retune.losses);
-                ("swaps", Json.Int r.Retune.swaps);
-              ] );
       ( "disk",
         match s.Service.disk with
         | None -> Json.Null

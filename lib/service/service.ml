@@ -54,7 +54,6 @@ type stats = {
   total : counters;
   disk : Disk_cache.stats option;
   breaker : Breaker.counters;
-  retune : Retune.counters option;
 }
 
 type health = {
@@ -101,8 +100,8 @@ let warm_load t disk =
         | None -> ()
         | Some app ->
             let expected =
-              Plan_cache.fingerprint ~app:app.Registry.name ~scale:m.Disk_cache.scale
-                ~scheduler:m.Disk_cache.scheduler ~machine
+              Plan_cache.fingerprint ?calib:t.shared.Shard.calib ~app:app.Registry.name
+                ~scale:m.Disk_cache.scale ~scheduler:m.Disk_cache.scheduler ~machine ()
             in
             if expected = fp then
               match Disk_cache.load disk ~fingerprint:fp with
@@ -110,8 +109,9 @@ let warm_load t disk =
               | Some (ir, digest) -> (
                   let shard = t.shards.(shard_of_fingerprint t fp) in
                   match
-                    Plan_cache.preload (Shard.cache shard) ~app ~scale:m.Disk_cache.scale
-                      ~scheduler:m.Disk_cache.scheduler ~machine ~ir ~digest
+                    Plan_cache.preload (Shard.cache shard) ?calib:t.shared.Shard.calib ~app
+                      ~scale:m.Disk_cache.scale ~scheduler:m.Disk_cache.scheduler ~machine ~ir
+                      ~digest ()
                   with
                   | Ok _ -> ()
                   | Error _ ->
@@ -122,7 +122,7 @@ let warm_load t disk =
 let create ?(workers = 4) ?mem_budget ?(max_inflight = 64) ?(batch_window = 0.0)
     ?(validate = false) ?(shards = 1) ?(queue_limit = 128) ?cache_dir ?fault
     ?(breaker_threshold = 3) ?(breaker_cooldown = 5.0) ?(native = false) ?kernel_cache_dir
-    ?(native_march = false) ?calib ?retune ~machine () =
+    ?(native_march = false) ?calib ~machine () =
   if workers < 1 then invalid_arg "Service.create: workers < 1";
   if max_inflight < 1 then invalid_arg "Service.create: max_inflight < 1";
   if shards < 1 then invalid_arg "Service.create: shards < 1";
@@ -132,31 +132,6 @@ let create ?(workers = 4) ?mem_budget ?(max_inflight = 64) ?(batch_window = 0.0)
   in
   Pmdp_baselines.Schedulers.install ();
   let disk = Option.map (fun dir -> Disk_cache.create ?fault ~dir ()) cache_dir in
-  (* The retuner commits through the same paths as a fresh compile:
-     the owning shard's cache slot (atomic swap) and the disk cache,
-     so the tuned plan survives a restart. *)
-  let retuner =
-    Option.map
-      (fun config ->
-        Retune.create ?calib ~config ~machine
-          ~commit:(fun (j : Retune.job) entry ->
-            let swapped =
-              Plan_cache.swap j.Retune.cache ~fingerprint:j.Retune.fingerprint ~entry
-            in
-            if swapped then
-              Option.iter
-                (fun d ->
-                  let meta =
-                    Disk_cache.meta_of_request ~app:j.Retune.app.Registry.name
-                      ~scale:j.Retune.scale ~scheduler:j.Retune.scheduler ~machine
-                  in
-                  Disk_cache.store d meta ~fingerprint:j.Retune.fingerprint
-                    ~ir:entry.Plan_cache.ir)
-                disk;
-            swapped)
-          ())
-      retune
-  in
   let shared =
     {
       Shard.lock = Mutex.create ();
@@ -167,7 +142,6 @@ let create ?(workers = 4) ?mem_budget ?(max_inflight = 64) ?(batch_window = 0.0)
       breaker = Breaker.create ~threshold:breaker_threshold ~cooldown:breaker_cooldown ();
       fault;
       calib;
-      retune = retuner;
       draining = false;
       unfinished = 0;
       inflight_bytes = 0;
@@ -234,8 +208,8 @@ let submit_async t (req : request) =
            { name = req.app; context = "service: unknown app (see `pmdp list`)" })
   | Some app -> (
       let fp =
-        Plan_cache.fingerprint ~app:app.Registry.name ~scale:req.scale ~scheduler:req.scheduler
-          ~machine:t.shared.Shard.machine
+        Plan_cache.fingerprint ?calib:t.shared.Shard.calib ~app:app.Registry.name
+          ~scale:req.scale ~scheduler:req.scheduler ~machine:t.shared.Shard.machine ()
       in
       let shard = t.shards.(shard_of_fingerprint t fp) in
       (* The breaker gates admission before any compile or queue work:
@@ -481,7 +455,6 @@ let stats t =
     total;
     disk = Option.map Disk_cache.stats t.disk;
     breaker = Breaker.counters t.shared.Shard.breaker;
-    retune = Option.map Retune.counters t.shared.Shard.retune;
   }
 
 let health t =
@@ -506,7 +479,6 @@ let shutdown t =
     t.stop <- true;
     Array.iter Shard.signal_stop t.shards;
     Mutex.unlock t.shared.Shard.lock;
-    Option.iter Retune.shutdown t.shared.Shard.retune;
     Array.iter Shard.join t.shards;
     (* The native runner is a process-wide hook; a service that
        installed it takes it back down with the shards. *)

@@ -111,7 +111,6 @@ type stats = {
           before a shard was chosen (unknown app) *)
   disk : Disk_cache.stats option;  (** when created with [?cache_dir] *)
   breaker : Breaker.counters;  (** fleet-wide circuit-breaker ledger *)
-  retune : Retune.counters option;  (** when created with [?retune] *)
 }
 
 type health = {
@@ -139,7 +138,6 @@ val create :
   ?kernel_cache_dir:string ->
   ?native_march:bool ->
   ?calib:Pmdp_core.Cost_model.calibration ->
-  ?retune:Retune.config ->
   machine:Pmdp_machine.Machine.t ->
   unit ->
   t
@@ -182,12 +180,8 @@ val create :
     admission (epsilon gate only; see {!Pmdp_kernel.Native_exec}).
     [calib] threads fitted cost-model weights
     ({!Pmdp_tune.Calibration}) into every plan compile and into the
-    retuner's tile search; it does not change plan fingerprints.
-    [retune] starts the online re-optimizer ({!Retune}): hot
-    fingerprints are re-tiled under the (calibrated) model and the
-    cached plan is swapped only after the candidate wins a guarded
-    A/B — watch it via [stats.retune] and the [service.retune.*]
-    trace counters. *)
+    plan fingerprint ({!Plan_cache.fingerprint}), so the disk cache
+    never warm-loads a plan scheduled under a different model. *)
 
 val machine : t -> Pmdp_machine.Machine.t
 val mem_budget : t -> int

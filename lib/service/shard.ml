@@ -100,7 +100,6 @@ type shared = {
   breaker : Breaker.t;
   fault : Fault.t option;
   calib : Pmdp_core.Cost_model.calibration option;
-  retune : Retune.t option;
   mutable draining : bool;  (* drain deadline passed: settle leftovers Overloaded *)
   mutable unfinished : int;  (* admitted, not yet settled, all shards *)
   mutable inflight_bytes : int;
@@ -373,22 +372,6 @@ let execute_batch t key (batch : pending list) =
   (match result with
   | Ok _ -> Breaker.success t.shared.breaker p0.entry.Plan_cache.fingerprint
   | Error _ -> Breaker.failure t.shared.breaker p0.entry.Plan_cache.fingerprint);
-  (* Feed the online retuner one latency sample per successful
-     execution (its own leaf lock); the job thunk is only forced when
-     this sample makes the fingerprint hot. *)
-  (match (t.shared.retune, result) with
-  | Some r, Ok _ ->
-      Retune.observe r ~fingerprint:p0.entry.Plan_cache.fingerprint ~wall ~job:(fun () ->
-          {
-            Retune.fingerprint = p0.entry.Plan_cache.fingerprint;
-            app = p0.app_entry;
-            scale = p0.req.scale;
-            scheduler = p0.req.scheduler;
-            input_seed = p0.req.seed;
-            cache = t.cache;
-            entry = p0.entry;
-          })
-  | _ -> ());
   Mutex.lock t.shared.lock;
   t.executions <- t.executions + 1;
   if size > 1 then begin

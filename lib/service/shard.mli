@@ -86,10 +86,7 @@ type shared = {
           and tile crashes reach service executions too *)
   calib : Pmdp_core.Cost_model.calibration option;
       (** fitted cost-model weights, threaded into every plan compile
-          ({!Plan_cache.get}) and into the retuner's tile search *)
-  retune : Retune.t option;
-      (** the online re-optimizer; dispatchers report successful
-          execution walls to it ({!Retune.observe}) *)
+          ({!Plan_cache.get}) *)
   mutable draining : bool;
       (** set once a graceful drain's deadline passes: dispatchers
           settle leftovers as retryable [Overloaded] instead of

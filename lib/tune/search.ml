@@ -115,29 +115,10 @@ let tune_spec ~seed ~budget ~evaluate (spec : Schedule_spec.t) =
   (spec_with_tiles spec r.tiles, r)
 
 (* Model-cost evaluator: sum of predicted per-group costs under
-   [config] — deterministic and execution-free, so it drives both the
-   service's background retuner and reproducible tests.  [None] when
-   any group fails to analyze. *)
+   [config] — deterministic and execution-free, so it drives
+   reproducible tests.  [None] when any group fails to analyze. *)
 let model_evaluate config (spec : Schedule_spec.t) =
   Cost_model.predicted_cost config spec.Schedule_spec.pipeline
     (List.map
        (fun (g : Schedule_spec.group) -> (g.Schedule_spec.stages, g.Schedule_spec.tile_sizes))
        spec.Schedule_spec.groups)
-
-(* IR adapter for the online retuner: score candidate tile matrices
-   for an already-lowered plan without re-lowering (features come
-   straight from the IR's stage lists), then [Pmdp_plan.retile] only
-   the winner. *)
-let tune_ir ~seed ~budget ~config ~pipeline (ir : Pmdp_plan.t) =
-  let stages_of_group (g : Pmdp_plan.group) =
-    Array.to_list (Array.map (fun (m : Pmdp_plan.member) -> m.Pmdp_plan.sid) g.Pmdp_plan.members)
-  in
-  let groups = Array.to_list (Array.map stages_of_group ir.Pmdp_plan.groups) in
-  let init =
-    Array.map (fun (g : Pmdp_plan.group) -> Array.copy g.Pmdp_plan.tile) ir.Pmdp_plan.groups
-  in
-  let eval tiles =
-    Cost_model.predicted_cost config pipeline (List.combine groups (Array.to_list tiles))
-  in
-  let r = run ~seed ~budget ~init ~evaluate:eval in
-  (r.tiles, r)

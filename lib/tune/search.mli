@@ -4,9 +4,9 @@
     candidates are deduplicated, scored by a caller-supplied evaluator
     (model cost or measured wall time), and accepted only when they
     improve on the best score — plain hill climbing, deterministic for
-    a given seed/budget/evaluator.  Tile clamping and legality live in
-    the evaluator's world ({!Pmdp_core.Schedule_spec.validate},
-    {!Pmdp_plan.retile}, the plan admission gate), not here. *)
+    a given seed/budget/evaluator.  Legality lives in the evaluator's
+    world ({!Pmdp_core.Schedule_spec.validate}, lowering through
+    {!Pmdp_plan.of_spec}, the plan admission gate), not here. *)
 
 type stats = {
   evaluated : int;  (** distinct candidates scored, initial point included *)
@@ -47,14 +47,3 @@ val tune_spec :
 val model_evaluate : Pmdp_core.Cost_model.config -> Pmdp_core.Schedule_spec.t -> float option
 (** Sum of predicted per-group costs under [config] — deterministic
     and execution-free (calibrated configs predict seconds). *)
-
-val tune_ir :
-  seed:int ->
-  budget:int ->
-  config:Pmdp_core.Cost_model.config ->
-  pipeline:Pmdp_dsl.Pipeline.t ->
-  Pmdp_plan.t ->
-  int array array * result
-(** Model-guided search over an already-lowered plan's tiles, scoring
-    candidates straight from the IR's stage lists; the caller
-    [Pmdp_plan.retile]s the winning matrix and re-admits it. *)

@@ -251,9 +251,16 @@ let test_analyzer_flags_reversed_edge () =
    accesses, so they catch a plan whose recorded overlap was shrunk
    after lowering. *)
 let stencil_group () =
-  let p, _, ir = blur_case () in
+  let p, spec, _ = blur_case () in
   (* several tiles per dimension, so tile edges fall inside the image *)
-  let ir = Plan.retile p ir (Array.map (fun g -> Array.map (fun _ -> 8) g.Plan.tile) ir.Plan.groups) in
+  let module S = Pmdp_core.Schedule_spec in
+  let ir =
+    Plan.of_spec
+      (S.with_tiles p
+         (List.map
+            (fun (g : S.group) -> (g.S.stages, Array.map (fun _ -> 8) g.S.tile_sizes))
+            spec.S.groups))
+  in
   let overlaps g = Array.exists (Array.exists (fun e -> e <> (0, 0))) g.Plan.expansions in
   match Array.find_opt overlaps ir.Plan.groups with
   | Some g -> (p, ir, g)

@@ -143,21 +143,43 @@ let xeon = Machine.xeon
 let blur = Registry.find_exn "blur"
 
 let test_fingerprint_stable () =
-  let fp () = Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon in
-  Alcotest.(check string) "same bindings, same fingerprint" (fp ()) (fp ())
+  let fp () = Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon () in
+  Alcotest.(check string) "same bindings, same fingerprint" (fp ()) (fp ());
+  (* Uncalibrated fingerprints name existing disk-cache envelopes, so
+     the digest is pinned: MD5 of
+     "pmdp-plan-v1|app=blur|scale=32|scheduler=dp|machine=xeon|cores=16". *)
+  Alcotest.(check string) "uncalibrated digest pinned" "0ea0b38af56846f66ac636ad7103dd69" (fp ())
+
+(* Fitted weights for tests that only need some calibration to be
+   loaded; the values just have to differ from the analytic model. *)
+let calib =
+  {
+    Pmdp_core.Cost_model.cal_machine = xeon.Machine.name;
+    c0 = 1e-6;
+    c_mem = 1e-9;
+    c_idle = 1e-7;
+    c_overlap = 1e-7;
+    c_mismatch = 1e-7;
+  }
 
 let test_fingerprint_sensitivity () =
-  let base = Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon in
+  let base = Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon () in
   let differs name fp = Alcotest.(check bool) name true (fp <> base) in
   differs "app changes it"
-    (Plan_cache.fingerprint ~app:"unsharp" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon);
+    (Plan_cache.fingerprint ~app:"unsharp" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon ());
   differs "scale changes it"
-    (Plan_cache.fingerprint ~app:"blur" ~scale:16 ~scheduler:Scheduler.Dp ~machine:xeon);
+    (Plan_cache.fingerprint ~app:"blur" ~scale:16 ~scheduler:Scheduler.Dp ~machine:xeon ());
   differs "scheduler changes it"
-    (Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Greedy ~machine:xeon);
+    (Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Greedy ~machine:xeon ());
   differs "machine changes it"
     (Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp
-       ~machine:Machine.opteron)
+       ~machine:Machine.opteron ());
+  let calibrated c =
+    Plan_cache.fingerprint ~calib:c ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon ()
+  in
+  differs "calibration changes it" (calibrated calib);
+  Alcotest.(check bool) "calibration weights change it" true
+    (calibrated calib <> calibrated { calib with c_idle = 2e-7 })
 
 let test_cache_hit_miss () =
   let cache = Plan_cache.create () in
@@ -351,6 +373,33 @@ let test_disk_cache_warm_restart () =
   | Error e -> Alcotest.failf "warm submit failed: %s" (Pmdp_error.to_string e));
   Alcotest.(check int) "no compiles after restart" 0 (total_cache s2).Plan_cache.compiles;
   Service.shutdown s2
+
+(* A plan scheduled under one cost model is never served under
+   another: a calibrated restart recompiles instead of warm-loading
+   the uncalibrated envelope, and an uncalibrated restart still finds
+   it next to the calibrated one. *)
+let test_disk_cache_calibration_keyed () =
+  let dir = temp_dir "pmdp-calib" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let first_request_hits s =
+    match Service.submit s (Service.request ~scale:32 "blur") with
+    | Ok r -> r.Service.cache_hit
+    | Error e -> Alcotest.failf "submit failed: %s" (Pmdp_error.to_string e)
+  in
+  let s1 = Service.create ~workers:2 ~cache_dir:dir ~machine:xeon () in
+  ignore (first_request_hits s1);
+  Service.shutdown s1;
+  let s2 = Service.create ~workers:2 ~cache_dir:dir ~calib ~machine:xeon () in
+  Alcotest.(check int) "calibrated restart loads nothing" 0 (total_cache s2).Plan_cache.loads;
+  Alcotest.(check bool) "calibrated first request compiles" false (first_request_hits s2);
+  Alcotest.(check int) "calibrated service compiled" 1 (total_cache s2).Plan_cache.compiles;
+  Alcotest.(check int) "nothing loaded on the miss" 0 (total_cache s2).Plan_cache.loads;
+  Service.shutdown s2;
+  let s3 = Service.create ~workers:2 ~cache_dir:dir ~machine:xeon () in
+  Alcotest.(check int) "uncalibrated restart warm-loads its plan" 1
+    (total_cache s3).Plan_cache.loads;
+  Alcotest.(check bool) "uncalibrated first request hits" true (first_request_hits s3);
+  Service.shutdown s3
 
 let test_disk_cache_tamper_recompile () =
   let dir = temp_dir "pmdp-tamper" in
@@ -639,7 +688,7 @@ let test_service_sharded_submits () =
      plan compiled on exactly one shard. *)
   with_service ~shards:3 (fun service ->
       Alcotest.(check int) "three shards" 3 (Service.shard_count service);
-      let fp = Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon in
+      let fp = Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon () in
       let s0 = Service.shard_of_fingerprint service fp in
       Alcotest.(check bool) "route in range" true (s0 >= 0 && s0 < 3);
       Alcotest.(check int) "route stable" s0 (Service.shard_of_fingerprint service fp);
@@ -1228,6 +1277,8 @@ let () =
         [
           Alcotest.test_case "envelope round trip" `Quick test_disk_cache_roundtrip;
           Alcotest.test_case "warm restart skips compiles" `Quick test_disk_cache_warm_restart;
+          Alcotest.test_case "calibration keys the disk cache" `Quick
+            test_disk_cache_calibration_keyed;
           Alcotest.test_case "tampered envelope recompiles" `Quick
             test_disk_cache_tamper_recompile;
         ] );

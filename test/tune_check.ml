@@ -13,16 +13,12 @@
      envelope, and executed bitwise-equal to the reference;
    - deterministic seeded search: same seed, same walk;
    - schema guard: v2 bench files are refused by both the merge path
-     and the calibration corpus parser;
-   - the online service retuner: a served hot fingerprint swaps its
-     cached plan only after winning the guarded A/B (and persists the
-     swap), and keeps the incumbent when the candidate loses. *)
+     and the calibration corpus parser. *)
 
 module Machine = Pmdp_machine.Machine
 module Registry = Pmdp_apps.Registry
 module Scheduler = Pmdp_core.Scheduler
 module Cost_model = Pmdp_core.Cost_model
-module Schedule_spec = Pmdp_core.Schedule_spec
 module Tiled_exec = Pmdp_exec.Tiled_exec
 module Resilient = Pmdp_exec.Resilient
 module Reference = Pmdp_exec.Reference
@@ -31,10 +27,6 @@ module Calibration = Pmdp_tune.Calibration
 module Search = Pmdp_tune.Search
 module Rng = Pmdp_util.Rng
 module Pmdp_error = Pmdp_util.Pmdp_error
-module Service = Pmdp_service.Service
-module Retune = Pmdp_service.Retune
-module Plan_cache = Pmdp_service.Plan_cache
-module Disk_cache = Pmdp_service.Disk_cache
 
 let failures = ref 0
 
@@ -46,22 +38,6 @@ let check name cond =
   end
 
 let section name = Printf.printf "%s\n%!" name
-
-let temp_dir prefix =
-  let d = Filename.temp_file prefix "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
-
-let rm_rf dir =
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir);
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
-let or_fail what = function
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "%s: %s" what (Pmdp_error.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic-weight recovery *)
@@ -278,18 +254,7 @@ let test_deterministic_search () =
   check "same seed, same stats"
     (a.Search.stats = b.Search.stats);
   check "search improved the objective"
-    (a.Search.score < Option.get (evaluate init));
-  (* And the IR-level adapter is deterministic on a real app. *)
-  let app = Option.get (Registry.find "blur") in
-  let pipeline = app.Registry.build ~scale:32 in
-  let config = Cost_model.config_of_machine Machine.xeon in
-  let sched =
-    Scheduler.schedule (Scheduler.for_pipeline Scheduler.Dp pipeline) config pipeline
-  in
-  let ir = match Pmdp_plan.of_spec_result sched with Ok ir -> ir | Error _ -> assert false in
-  let t1, _ = Search.tune_ir ~seed:3 ~budget:30 ~config ~pipeline ir in
-  let t2, _ = Search.tune_ir ~seed:3 ~budget:30 ~config ~pipeline ir in
-  check "tune_ir deterministic per seed" (t1 = t2)
+    (a.Search.score < Option.get (evaluate init))
 
 (* ------------------------------------------------------------------ *)
 (* Schema guards *)
@@ -310,126 +275,6 @@ let test_schema_guards () =
   check "runner writes schema v3" (Pmdp_bench.Runner.schema_version = 3)
 
 (* ------------------------------------------------------------------ *)
-(* Online service retuner *)
-
-let ones_like (ir : Pmdp_plan.t) =
-  Array.map
-    (fun (g : Pmdp_plan.group) -> Array.map (fun _ -> 1) g.Pmdp_plan.tile)
-    ir.Pmdp_plan.groups
-
-let good_and_bad_plans () =
-  let app = Option.get (Registry.find "blur") in
-  let machine = Machine.xeon in
-  let scale = 32 and scheduler = Scheduler.Dp in
-  let pipeline = app.Registry.build ~scale in
-  let config = Cost_model.config_of_machine machine in
-  let sched = Scheduler.schedule (Scheduler.for_pipeline scheduler pipeline) config pipeline in
-  let ir_good =
-    match Pmdp_plan.of_spec_result sched with Ok ir -> ir | Error _ -> assert false
-  in
-  (* All-1x1 tiles: legal, admissible, and pathologically slow — the
-     deterministic stand-in for a miscalibrated incumbent. *)
-  let ir_bad = Pmdp_plan.retile pipeline ir_good (ones_like ir_good) in
-  (app, machine, scale, scheduler, pipeline, ir_good, ir_bad)
-
-let wait_retune service ~deadline =
-  let rec go () =
-    let s = Service.stats service in
-    match s.Service.retune with
-    | Some r when r.Retune.wins >= 1 || r.Retune.losses >= 1 -> r
-    | _ ->
-        if Unix.gettimeofday () > deadline then failwith "retune did not settle in time"
-        else begin
-          Thread.delay 0.05;
-          go ()
-        end
-  in
-  go ()
-
-let test_retune_swap_on_win () =
-  section "service retune: hot fingerprint swaps only after winning the A/B";
-  let app, machine, scale, scheduler, _pipeline, ir_good, ir_bad = good_and_bad_plans () in
-  let bad_digest = Pmdp_plan.digest ir_bad in
-  let good_tiles =
-    Array.map (fun (g : Pmdp_plan.group) -> Array.copy g.Pmdp_plan.tile) ir_good.Pmdp_plan.groups
-  in
-  let dir = temp_dir "pmdp-retune-win" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let fp = Plan_cache.fingerprint ~app:app.Registry.name ~scale ~scheduler ~machine in
-  (* Seed the persistent cache with the slow plan; the service
-     warm-loads it and serves it as the incumbent. *)
-  let d = Disk_cache.create ~dir () in
-  let meta = Disk_cache.meta_of_request ~app:app.Registry.name ~scale ~scheduler ~machine in
-  Disk_cache.store d meta ~fingerprint:fp ~ir:ir_bad;
-  let retune_cfg =
-    {
-      Retune.default_config with
-      Retune.hot_threshold = 2;
-      ab_reps = 2;
-      propose = (fun _ -> Some (Array.map Array.copy good_tiles)) |> Option.some;
-    }
-  in
-  let service =
-    Service.create ~workers:1 ~validate:true ~cache_dir:dir ~retune:retune_cfg ~machine ()
-  in
-  let req = Service.request ~scale ~scheduler ~seed:1 app.Registry.name in
-  let first = or_fail "first request" (Service.submit service req) in
-  check "incumbent served from the warm-loaded envelope" first.Service.cache_hit;
-  ignore (or_fail "second request" (Service.submit service req));
-  let r = wait_retune service ~deadline:(Unix.gettimeofday () +. 120.0) in
-  check "fingerprint went hot" (r.Retune.hot >= 1);
-  check "retune attempt started" (r.Retune.started >= 1);
-  check "candidate won the guarded A/B" (r.Retune.wins >= 1);
-  (* The swap is asynchronous wrt the win counter only in that both
-     are set by the tuner thread before it goes idle; poll briefly. *)
-  let rec wait_swap tries =
-    let s = Service.stats service in
-    match s.Service.retune with
-    | Some r when r.Retune.swaps >= 1 -> r
-    | _ when tries > 0 ->
-        Thread.delay 0.05;
-        wait_swap (tries - 1)
-    | _ -> r
-  in
-  let r = wait_swap 100 in
-  check "winning candidate was swapped in" (r.Retune.swaps >= 1);
-  (* Post-swap requests serve the tuned plan and stay bitwise-correct. *)
-  let resp = or_fail "post-swap request" (Service.submit service req) in
-  check "post-swap response is bitwise-correct" (resp.Service.max_abs_diff = Some 0.0);
-  Service.shutdown service;
-  (* The swap reached the persistent cache: the stored envelope is no
-     longer the slow plan. *)
-  let d2 = Disk_cache.create ~dir () in
-  match Disk_cache.load d2 ~fingerprint:fp with
-  | Some (_, digest) -> check "swap persisted to the disk cache" (digest <> bad_digest)
-  | None -> check "swap persisted to the disk cache" false
-
-let test_retune_keep_on_loss () =
-  section "service retune: losing candidate never replaces the incumbent";
-  let app, machine, scale, scheduler, _pipeline, _ir_good, _ir_bad = good_and_bad_plans () in
-  let retune_cfg =
-    {
-      Retune.default_config with
-      Retune.hot_threshold = 2;
-      ab_reps = 2;
-      propose = (fun ir -> Some (ones_like ir)) |> Option.some;
-    }
-  in
-  let service = Service.create ~workers:1 ~validate:true ~retune:retune_cfg ~machine () in
-  let req = Service.request ~scale ~scheduler ~seed:1 app.Registry.name in
-  ignore (or_fail "first request" (Service.submit service req));
-  ignore (or_fail "second request" (Service.submit service req));
-  let r = wait_retune service ~deadline:(Unix.gettimeofday () +. 120.0) in
-  check "retune attempt started" (r.Retune.started >= 1);
-  check "pathological candidate lost the A/B" (r.Retune.losses >= 1);
-  check "no win recorded" (r.Retune.wins = 0);
-  check "no swap happened" (r.Retune.swaps = 0);
-  let resp = or_fail "post-loss request" (Service.submit service req) in
-  check "incumbent still serves bitwise-correct results"
-    (resp.Service.max_abs_diff = Some 0.0);
-  Service.shutdown service
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   (match Array.to_list Sys.argv with
@@ -442,8 +287,6 @@ let () =
   test_tuned_plan_sweep ();
   test_deterministic_search ();
   test_schema_guards ();
-  test_retune_swap_on_win ();
-  test_retune_keep_on_loss ();
   if !failures > 0 then begin
     Printf.printf "tune_check: %d failure(s)\n%!" !failures;
     exit 1
